@@ -1,5 +1,5 @@
 // Data-plane CPU throughput: GF(2^8) row kernels, Reed-Solomon encode/decode,
-// ChaCha20, SHA-256, and the end-to-end DepSky PUT/GET payload processing
+// ChaCha20, SHA-1, SHA-256, and the end-to-end DepSky PUT/GET payload processing
 // pipelines — each measured against a faithful replica of the seed
 // implementation (byte-at-a-time exp/log GF kernel, per-block cipher state
 // setup, copy-heavy framing) so the speedup is computed inside one binary.
@@ -362,6 +362,25 @@ void Run(const Options& options) {
     json.Add("sha256_portable", portable, "MB/s");
     json.Add("sha256_dispatched", best, "MB/s");
     json.Add("sha256_speedup", best / portable, "x");
+  }
+
+  PrintHeader("SHA-1 (MB/s)");
+  {
+    Sha1::ForcePortableForTesting(true);
+    double portable = MeasureMbps(payload.size(), min_s, [&] {
+      Bytes h = Sha1::Hash(payload);
+      (void)h;
+    });
+    Sha1::ForcePortableForTesting(false);
+    double best = MeasureMbps(payload.size(), min_s, [&] {
+      Bytes h = Sha1::Hash(payload);
+      (void)h;
+    });
+    std::printf("portable %8.0f MB/s   dispatched %8.0f MB/s   speedup %.1fx\n",
+                portable, best, best / portable);
+    json.Add("sha1_portable", portable, "MB/s");
+    json.Add("sha1_dispatched", best, "MB/s");
+    json.Add("sha1_speedup", best / portable, "x");
   }
 
   PrintHeader("DepSky-CA PUT payload processing (f=1: RS(4,2), MB/s)");

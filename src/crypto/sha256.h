@@ -15,13 +15,14 @@
 #include <cstdint>
 
 #include "src/common/bytes.h"
+#include "src/crypto/block_hash.h"
 
 namespace scfs {
 
 class Sha256 {
  public:
   static constexpr size_t kDigestSize = 32;
-  static constexpr size_t kBlockSize = 64;
+  static constexpr size_t kBlockSize = internal::BlockHashBuffer::kBlockSize;
 
   Sha256();
 
@@ -38,12 +39,8 @@ class Sha256 {
   static void ForcePortableForTesting(bool force);
 
  private:
-  void ProcessBlocks(const uint8_t* blocks, size_t count);
-
   uint32_t state_[8];
-  uint64_t total_bytes_;
-  uint8_t buffer_[kBlockSize];
-  size_t buffered_;
+  internal::BlockHashBuffer buffer_;
 };
 
 }  // namespace scfs

@@ -35,6 +35,12 @@ struct RobustContext {
 // aborted — a deadline expiry counts the attempt as failed and moves on
 // while the straggler finishes inside its store, exactly like an HTTP
 // client timing out a slow provider.
+//
+// The call's charge is modelled, never elapsed time: the sum over its
+// attempts of the attempt's own charge (the full deadline for an attempt
+// that expired), plus the backoff before each retry. Host time spent in
+// callbacks and executor queues therefore never turns into modelled time.
+// Only the health tracker's latency sample stays elapsed: it times hedges.
 template <typename T>
 class RobustCall : public std::enable_shared_from_this<RobustCall<T>> {
  public:
@@ -49,7 +55,6 @@ class RobustCall : public std::enable_shared_from_this<RobustCall<T>> {
         timeout_value_(std::move(timeout_value)) {}
 
   Future<T> Start() {
-    first_start_ = ctx_.env->Now();
     ctx_.tracker->Add();
     Attempt(0);
     return promise_.future();
@@ -69,29 +74,33 @@ class RobustCall : public std::enable_shared_from_this<RobustCall<T>> {
           [self, attempt, start, claimed] {
             if (!claimed->exchange(true)) {
               self->ctx_.deadline_expiries->fetch_add(1);
-              self->Settle(attempt, self->timeout_value_(), false);
+              self->Settle(attempt, self->timeout_value_(), false,
+                           self->ctx_.config->request_deadline);
             }
           });
     }
     Future<T> inner = issue_();
     inner.OnReady(
         [self, attempt, start, claimed, timer_id](const T& value,
-                                                  VirtualDuration) {
+                                                  VirtualDuration charge) {
           if (claimed->exchange(true)) {
             return;  // the deadline already declared this attempt dead
           }
           self->ctx_.timers->Cancel(*timer_id);
-          self->Settle(attempt, value, self->responsive_(value),
+          self->Settle(attempt, value, self->responsive_(value), charge,
                        self->ctx_.env->Now() - start);
         });
   }
 
+  // Attempts run one after another, so `charged_` needs no lock: each
+  // Settle happens-after the previous attempt's.
   void Settle(int attempt, T value, bool responsive,
-              VirtualDuration latency = 0) {
+              VirtualDuration attempt_charge, VirtualDuration latency = 0) {
     VirtualTime now = ctx_.env->Now();
+    charged_ += attempt_charge;
     if (responsive) {
       ctx_.health->RecordSuccess(cloud_, now, latency);
-      Finish(std::move(value), now);
+      Finish(std::move(value));
       return;
     }
     ctx_.health->RecordFailure(cloud_, now);
@@ -103,6 +112,7 @@ class RobustCall : public std::enable_shared_from_this<RobustCall<T>> {
         std::lock_guard<std::mutex> lock(*ctx_.rng_mu);
         delay = ctx_.config->retry_backoff.Delay(attempt, *ctx_.rng);
       }
+      charged_ += delay;
       auto self = this->shared_from_this();
       if (delay > 0) {
         uint64_t id = ctx_.timers->Schedule(
@@ -111,14 +121,14 @@ class RobustCall : public std::enable_shared_from_this<RobustCall<T>> {
           return;  // retry armed on the timer thread
         }
       }
-      Attempt(attempt + 1);  // instant environment: retry inline, no delay
+      Attempt(attempt + 1);  // instant environment: retry inline
       return;
     }
-    Finish(std::move(value), now);
+    Finish(std::move(value));
   }
 
-  void Finish(T value, VirtualTime now) {
-    promise_.Set(std::move(value), now - first_start_);
+  void Finish(T value) {
+    promise_.Set(std::move(value), charged_);
     ctx_.tracker->Done();
   }
 
@@ -127,7 +137,7 @@ class RobustCall : public std::enable_shared_from_this<RobustCall<T>> {
   std::function<Future<T>()> issue_;
   std::function<bool(const T&)> responsive_;
   std::function<T()> timeout_value_;
-  VirtualTime first_start_ = 0;
+  VirtualDuration charged_ = 0;
   Promise<T> promise_;
 };
 
@@ -148,7 +158,8 @@ DepSkyClient::DepSkyClient(Environment* env, std::vector<DepSkyCloud> clouds,
       config_(config),
       rng_(seed),
       health_(static_cast<unsigned>(clouds_.size()), config.health),
-      timers_(env) {}
+      timers_(env),
+      pushed_metadata_(kPushedMetadataUnits) {}
 
 DepSkyClient::~DepSkyClient() {
   // Every RobustCall holds a tracker slot until it settles, and pending
@@ -280,6 +291,28 @@ Result<DepSkyMetadata> DepSkyClient::ReadMetadata(const std::string& unit) {
   return best;
 }
 
+Result<DepSkyMetadata> DepSkyClient::ReadMetadataForUpdate(
+    const std::string& unit) {
+  Result<DepSkyMetadata> read = ReadMetadata(unit);
+  if (!read.ok()) {
+    return read;
+  }
+  std::optional<DepSkyMetadata> pushed;
+  {
+    std::lock_guard<std::mutex> lock(pushed_mu_);
+    pushed = pushed_metadata_.Get(unit);
+  }
+  // A metadata overwrite is invisible for the clouds' consistency window, so
+  // the quorum may still show a record older than this client's own last
+  // push. Building on it would reuse a version number (and overwrite that
+  // version's value objects) or drop the newest version from the history.
+  if (pushed.has_value() &&
+      pushed->NextVersionNumber() > read->NextVersionNumber()) {
+    return *std::move(pushed);
+  }
+  return read;
+}
+
 Status DepSkyClient::PushMetadata(const std::string& unit,
                                   const DepSkyMetadata& md) {
   const std::string key = MetadataKey(unit);
@@ -313,6 +346,8 @@ Status DepSkyClient::PushMetadata(const std::string& unit,
   if (!acks.quorum_reached) {
     return UnavailableError("metadata write quorum not reached for " + unit);
   }
+  std::lock_guard<std::mutex> lock(pushed_mu_);
+  pushed_metadata_.Put(unit, md);
   return OkStatus();
 }
 
@@ -353,7 +388,7 @@ Result<uint64_t> DepSkyClient::WriteVersion(
     ConstByteSpan data, const std::vector<DepSkyGrant>* merge_grants) {
   // Step 0: learn the current version history (creates it on first write).
   DepSkyMetadata md;
-  auto existing = ReadMetadata(unit);
+  auto existing = ReadMetadataForUpdate(unit);
   if (existing.ok()) {
     md = std::move(*existing);
   } else if (existing.status().code() == ErrorCode::kNotFound) {
@@ -659,6 +694,13 @@ Result<uint64_t> DepSkyClient::WriteStripedVersion(const std::string& unit,
 // Shared state of one in-flight shard fetch. Collectors (completion
 // callbacks of the per-holder robust GETs) and the hedge timer all
 // coordinate through `mu`; `done_promise` settles exactly once.
+//
+// The fetch is charged on its modelled critical path, never elapsed time.
+// Each launch has a modelled offset: 0 for the first wave, the accumulated
+// hedge delays for a hedge, and the failed reply's path charge for a
+// failure-triggered relaunch. A reply's path charge is its offset plus its
+// own charge; the fetch costs the max over the k replies it kept (over
+// every reply when it fails).
 struct DepSkyClient::ShardFetchState {
   std::string unit;
   std::string value_key;
@@ -666,20 +708,22 @@ struct DepSkyClient::ShardFetchState {
   std::vector<unsigned> holders;     // health-ordered launch sequence
   std::vector<int32_t> cloud_shard;  // copy: outlives the caller's metadata
   std::vector<Bytes> shard_hashes;
-  VirtualTime started = 0;
 
   std::mutex mu;
   size_t next = 0;           // next holders[] entry to launch
   unsigned outstanding = 0;  // launched, not yet completed
   unsigned valid = 0;
   bool done = false;
+  VirtualDuration hedge_offset = 0;  // offset of the latest hedge launched
+  VirtualDuration kept_path = 0;     // max path charge over kept replies
+  VirtualDuration seen_path = 0;     // max path charge over all replies
   std::vector<std::optional<Bytes>> shards;  // by shard index
   std::vector<SecretShare> shares;
   Promise<Status> done_promise;
 };
 
 void DepSkyClient::LaunchShardGet(
-    const std::shared_ptr<ShardFetchState>& state) {
+    const std::shared_ptr<ShardFetchState>& state, VirtualDuration offset) {
   unsigned cloud = 0;
   {
     std::lock_guard<std::mutex> lock(state->mu);
@@ -690,16 +734,19 @@ void DepSkyClient::LaunchShardGet(
     state->outstanding++;
   }
   RobustGet(cloud, state->value_key)
-      .OnReady([this, state, cloud](const Result<Bytes>& raw,
-                                    VirtualDuration) {
+      .OnReady([this, state, cloud, offset](const Result<Bytes>& raw,
+                                            VirtualDuration charge) {
+        const VirtualDuration path = offset + charge;
         bool fetch_more = false;
         std::optional<Status> completion;
+        VirtualDuration completion_charge = 0;
         {
           std::lock_guard<std::mutex> lock(state->mu);
           state->outstanding--;
           if (state->done) {
             return;  // straggler past the trigger
           }
+          state->seen_path = std::max(state->seen_path, path);
           bool valid_shard = false;
           if (raw.ok()) {
             auto object = DepSkyValueObject::Decode(*raw);
@@ -718,6 +765,7 @@ void DepSkyClient::LaunchShardGet(
                         object->share_index, object->share_data});
                   }
                   state->valid++;
+                  state->kept_path = std::max(state->kept_path, path);
                 }
                 valid_shard = true;
               }
@@ -726,20 +774,21 @@ void DepSkyClient::LaunchShardGet(
           if (state->valid >= state->k) {
             state->done = true;
             completion = OkStatus();
+            completion_charge = state->kept_path;
           } else if (state->outstanding == 0 &&
                      state->next >= state->holders.size()) {
             state->done = true;
             completion = UnavailableError(
                 "could not fetch enough valid shards for " + state->unit);
+            completion_charge = state->seen_path;
           } else if (!valid_shard || state->outstanding == 0) {
             fetch_more = true;  // failure-triggered: try the next holder now
           }
         }
         if (completion.has_value()) {
-          state->done_promise.Set(*completion,
-                                  env_->Now() - state->started);
+          state->done_promise.Set(*completion, completion_charge);
         } else if (fetch_more) {
-          LaunchShardGet(state);
+          LaunchShardGet(state, path);
         }
       });
 }
@@ -758,19 +807,23 @@ void DepSkyClient::ArmHedgeTimer(
   // Weak capture: the timer must not keep the fetch alive past completion,
   // and a fire after completion degrades to a no-op.
   std::weak_ptr<ShardFetchState> weak = state;
-  timers_.Schedule(env_->Now() + health_.HedgeDelay(), [this, weak] {
+  const VirtualDuration delay = health_.HedgeDelay();
+  timers_.Schedule(env_->Now() + delay, [this, weak, delay] {
     auto alive = weak.lock();
     if (!alive) {
       return;
     }
+    VirtualDuration offset = 0;
     {
       std::lock_guard<std::mutex> lock(alive->mu);
       if (alive->done || alive->next >= alive->holders.size()) {
         return;
       }
+      alive->hedge_offset += delay;
+      offset = alive->hedge_offset;
     }
     hedged_reads_.fetch_add(1);
-    LaunchShardGet(alive);
+    LaunchShardGet(alive, offset);
     ArmHedgeTimer(alive);  // chain: hedge again if still short of k
   });
 }
@@ -801,7 +854,6 @@ Result<DepSkyClient::FetchedShards> DepSkyClient::FetchShards(
   // frame (and the caller's metadata) are gone.
   state->cloud_shard = cloud_shard;
   state->shard_hashes = shard_hashes;
-  state->started = env_->Now();
   state->shards.resize(clouds_.size());
 
   // First wave: k health-ordered holders in parallel. Each unhelpful reply
@@ -810,7 +862,7 @@ Result<DepSkyClient::FetchedShards> DepSkyClient::FetchShards(
   // the (f+2)-th holder after an adaptive delay, so one quietly slow cloud
   // does not put its full straggler latency on the read path.
   for (unsigned i = 0; i < k; ++i) {
-    LaunchShardGet(state);
+    LaunchShardGet(state, /*offset=*/0);
   }
   ArmHedgeTimer(state);
 
@@ -1212,7 +1264,7 @@ void DepSkyClient::ScrubObjectSet(const DepSkyMetadata& md,
 }
 
 Result<DepSkyScrubReport> DepSkyClient::ScrubUnit(const std::string& unit) {
-  ASSIGN_OR_RETURN(DepSkyMetadata md, ReadMetadata(unit));
+  ASSIGN_OR_RETURN(DepSkyMetadata md, ReadMetadataForUpdate(unit));
   DepSkyScrubReport report;
   bool metadata_dirty = false;
   for (auto& version : md.versions) {
@@ -1237,7 +1289,7 @@ Result<DepSkyScrubReport> DepSkyClient::ScrubUnit(const std::string& unit) {
 }
 
 Status DepSkyClient::DeleteVersion(const std::string& unit, uint64_t version) {
-  ASSIGN_OR_RETURN(DepSkyMetadata md, ReadMetadata(unit));
+  ASSIGN_OR_RETURN(DepSkyMetadata md, ReadMetadataForUpdate(unit));
   auto it = std::find_if(md.versions.begin(), md.versions.end(),
                          [&](const DepSkyVersion& v) {
                            return v.version == version;
@@ -1295,12 +1347,14 @@ Status DepSkyClient::DeleteUnit(const std::string& unit) {
   for (unsigned i = 0; i < clouds_.size(); ++i) {
     (void)clouds_[i].store->Delete(clouds_[i].creds, md_key);
   }
+  std::lock_guard<std::mutex> lock(pushed_mu_);
+  pushed_metadata_.Erase(unit);
   return OkStatus();
 }
 
 Status DepSkyClient::SetGrant(const std::string& unit,
                               const DepSkyGrant& grant) {
-  ASSIGN_OR_RETURN(DepSkyMetadata md, ReadMetadata(unit));
+  ASSIGN_OR_RETURN(DepSkyMetadata md, ReadMetadataForUpdate(unit));
   // Replace an existing grant for the same principal ids, else append.
   auto it = std::find_if(md.grants.begin(), md.grants.end(),
                          [&](const DepSkyGrant& g) {

@@ -35,6 +35,7 @@
 #include "src/common/backoff.h"
 #include "src/common/executor.h"
 #include "src/common/future.h"
+#include "src/common/lru_cache.h"
 #include "src/common/rng.h"
 #include "src/common/timer_queue.h"
 #include "src/crypto/secret_sharing.h"
@@ -211,8 +212,13 @@ class DepSkyClient {
 
   // Writes the given metadata to every cloud through the async ObjectStore
   // API, returning as soon as a write quorum (n-f) has acknowledged; the
-  // stragglers keep running inside their stores.
+  // stragglers keep running inside their stores. Remembers an acknowledged
+  // record for ReadMetadataForUpdate.
   Status PushMetadata(const std::string& unit, const DepSkyMetadata& md);
+  // The base of every read-modify-write of a unit's metadata: the quorum
+  // read, or this client's last pushed record when that one has a newer
+  // version (the quorum read can lag a push by the consistency window).
+  Result<DepSkyMetadata> ReadMetadataForUpdate(const std::string& unit);
 
   // Fetches and reassembles one version.
   Result<Bytes> FetchVersion(const std::string& unit,
@@ -305,9 +311,11 @@ class DepSkyClient {
                            std::shared_ptr<const Bytes> data);
   Future<Result<Bytes>> RobustGet(unsigned cloud, const std::string& key);
 
-  // Launches the next unlaunched holder of a shard fetch (failure-triggered
-  // or hedged), and arms the hedge timer chain.
-  void LaunchShardGet(const std::shared_ptr<ShardFetchState>& state);
+  // Launches the next unlaunched holder of a shard fetch (first wave,
+  // failure-triggered or hedged) at modelled `offset` into the fetch, and
+  // arms the hedge timer chain.
+  void LaunchShardGet(const std::shared_ptr<ShardFetchState>& state,
+                      VirtualDuration offset);
   void ArmHedgeTimer(const std::shared_ptr<ShardFetchState>& state);
 
   Environment* env_;
@@ -323,6 +331,10 @@ class DepSkyClient {
   // Recycled across stripe units and sequential writes; sized to keep a full
   // stripe window's arenas warm.
   ArenaPool arena_pool_;
+  // The last metadata record this client pushed, per recently written unit.
+  static constexpr size_t kPushedMetadataUnits = 256;
+  std::mutex pushed_mu_;
+  LruCache<std::string, DepSkyMetadata> pushed_metadata_;
   InFlightTracker async_ops_;
 };
 

@@ -368,6 +368,64 @@ TEST(Sha256DispatchTest, ChunkedUpdatesMatchOneShot) {
   EXPECT_EQ(Bytes(digest.begin(), digest.end()), Sha256::Hash(data));
 }
 
+TEST(Sha1DispatchTest, HardwarePathMatchesPortable) {
+  Rng rng(44);
+  for (size_t size : {0u, 1u, 55u, 56u, 63u, 64u, 65u, 127u, 128u, 1000u,
+                      100000u}) {
+    Bytes data = rng.RandomBytes(size);
+    Sha1::ForcePortableForTesting(true);
+    Bytes portable = Sha1::Hash(data);
+    Sha1::ForcePortableForTesting(false);
+    Bytes dispatched = Sha1::Hash(data);
+    EXPECT_EQ(portable, dispatched) << size;
+  }
+}
+
+TEST(Sha1DispatchTest, ChunkedUpdatesMatchOneShot) {
+  Rng rng(45);
+  Bytes data = rng.RandomBytes(10000);
+  for (bool portable : {true, false}) {
+    Sha1::ForcePortableForTesting(portable);
+    Sha1 chunked;
+    size_t offset = 0;
+    size_t step = 1;
+    while (offset < data.size()) {
+      size_t n = std::min(step, data.size() - offset);
+      chunked.Update(ConstByteSpan(data.data() + offset, n));
+      offset += n;
+      step = step * 2 + 1;
+    }
+    auto digest = chunked.Finish();
+    EXPECT_EQ(Bytes(digest.begin(), digest.end()), Sha1::Hash(data))
+        << "portable=" << portable;
+  }
+  Sha1::ForcePortableForTesting(false);
+}
+
+// The FIPS 180 vectors of crypto_test, on both block functions.
+TEST(Sha1DispatchTest, NistVectorsOnBothPaths) {
+  for (bool portable : {true, false}) {
+    Sha1::ForcePortableForTesting(portable);
+    EXPECT_EQ(HexEncode(Sha1::Hash("")),
+              "da39a3ee5e6b4b0d3255bfef95601890afd80709");
+    EXPECT_EQ(HexEncode(Sha1::Hash("abc")),
+              "a9993e364706816aba3e25717850c26c9cd0d89d");
+    EXPECT_EQ(HexEncode(Sha1::Hash(
+                  "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
+              "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
+    Sha1 million;
+    Bytes chunk(1000, 'a');
+    for (int i = 0; i < 1000; ++i) {
+      million.Update(chunk);
+    }
+    auto digest = million.Finish();
+    EXPECT_EQ(HexEncode(digest.data(), digest.size()),
+              "34aa973cd4c4daa4f61eeb2bdbad27316534016f")
+        << "portable=" << portable;
+  }
+  Sha1::ForcePortableForTesting(false);
+}
+
 TEST(Sha1SpanTest, SpanOverloadMatchesStringView) {
   Bytes data = ToBytes("consistency anchor hash input");
   EXPECT_EQ(Sha1::Hash(ConstByteSpan(data)),

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
+#include <thread>
 
 #include "src/cloud/simulated_cloud.h"
+#include "src/common/executor.h"
 #include "src/common/rng.h"
 #include "src/crypto/sha1.h"
 #include "src/crypto/sha256.h"
@@ -498,6 +501,116 @@ TEST_F(DepSkyTest, EventualConsistencyNotFoundUntilVisible) {
             ErrorCode::kNotFound);
   env_->Sleep(6 * kSecond);
   EXPECT_EQ(*client.ReadByHash("f", ContentHash(v2)), v2);
+}
+
+TEST_F(DepSkyTest, BackToBackWritesInConsistencyWindowGetDistinctVersions) {
+  // A metadata overwrite stays invisible for the consistency window, so a
+  // quick second write's quorum read still shows the record before the
+  // first. The writer must still not reuse that write's version number:
+  // reusing it overwrites the first write's value objects and drops it from
+  // the history. A grant change or a version delete inside the window must
+  // not drop them either.
+  std::vector<std::unique_ptr<SimulatedCloud>> windowed;
+  std::vector<DepSkyCloud> set;
+  for (unsigned i = 0; i < kClouds; ++i) {
+    CloudProfile profile;
+    profile.name = "w" + std::to_string(i);
+    profile.consistency_window_base = 5 * kSecond;
+    windowed.push_back(
+        std::make_unique<SimulatedCloud>(profile, env_.get(), 60 + i));
+    set.push_back(DepSkyCloud{windowed.back().get(), {"w:alice"}});
+  }
+  DepSkyConfig config;
+  config.auth_key = ToBytes("k");
+  DepSkyClient client(env_.get(), std::move(set), config, 7);
+
+  Bytes v0 = ToBytes("v0");
+  Bytes v1 = ToBytes("v1");
+  Bytes v2 = ToBytes("v2");
+  auto initial = client.WriteVersion("f", ContentHash(v0), v0);
+  auto first = client.WriteVersion("f", ContentHash(v1), v1);
+  auto second = client.WriteVersion("f", ContentHash(v2), v2);
+  ASSERT_TRUE(initial.ok());
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_NE(*first, *second);
+  EXPECT_EQ(*second, *first + 1);
+  DepSkyGrant grant;
+  grant.cloud_ids.assign(kClouds, "w:bob");
+  grant.read = true;
+  ASSERT_TRUE(client.SetGrant("f", grant).ok());
+  ASSERT_TRUE(client.DeleteVersion("f", *initial).ok());
+
+  env_->Sleep(6 * kSecond);
+  EXPECT_EQ(client.ReadByHash("f", ContentHash(v0)).status().code(),
+            ErrorCode::kNotFound);
+  auto read1 = client.ReadByHash("f", ContentHash(v1));
+  auto read2 = client.ReadByHash("f", ContentHash(v2));
+  ASSERT_TRUE(read1.ok()) << read1.status().ToString();
+  ASSERT_TRUE(read2.ok()) << read2.status().ToString();
+  EXPECT_EQ(*read1, v1);
+  EXPECT_EQ(*read2, v2);
+}
+
+// A zero-latency cloud whose GETs answer after a real host delay while
+// charging a fixed modelled latency, as a reply does when it waits in a busy
+// executor queue.
+class HostDelayedCloud : public SimulatedCloud {
+ public:
+  HostDelayedCloud(CloudProfile profile, Environment* env, uint64_t seed,
+                   std::chrono::milliseconds host_delay,
+                   VirtualDuration modelled)
+      : SimulatedCloud(std::move(profile), env, seed),
+        host_delay_(host_delay),
+        modelled_(modelled) {}
+
+  Future<Result<Bytes>> GetAsync(const CloudCredentials& creds,
+                                 const std::string& key) override {
+    return SubmitTracked(&ops_, [this, creds, key] {
+      std::this_thread::sleep_for(host_delay_);
+      Result<Bytes> value = Get(creds, key);
+      Environment::AddThreadCharge(modelled_);
+      return value;
+    });
+  }
+
+ private:
+  std::chrono::milliseconds host_delay_;
+  VirtualDuration modelled_;
+  InFlightTracker ops_;  // awaited before the base store is torn down
+};
+
+TEST(DepSkyChargeTest, ReadChargesModelledLatencyNotHostDelay) {
+  // 1 virtual second = 10 real ms: the 20 ms host delay of every GET spans
+  // 2 virtual seconds, against 30 ms of modelled latency.
+  auto env = Environment::Scaled(0.01);
+  constexpr VirtualDuration kModelled = 30 * kMillisecond;
+  std::vector<std::unique_ptr<HostDelayedCloud>> clouds;
+  std::vector<DepSkyCloud> set;
+  for (unsigned i = 0; i < 4; ++i) {
+    CloudProfile profile;
+    profile.name = "d" + std::to_string(i);
+    clouds.push_back(std::make_unique<HostDelayedCloud>(
+        profile, env.get(), 70 + i, std::chrono::milliseconds(20),
+        kModelled));
+    set.push_back(DepSkyCloud{clouds.back().get(), {"d:alice"}});
+  }
+  DepSkyConfig config;
+  config.auth_key = ToBytes("k");
+  config.hedged_reads = false;
+  config.request_deadline = FromSecondsD(60);
+  DepSkyClient client(env.get(), std::move(set), config, 7);
+
+  Bytes data = ToBytes("charged on the modelled path");
+  ASSERT_TRUE(client.WriteVersion("f", ContentHash(data), data).ok());
+
+  // One metadata quorum round and one shard round, each one modelled GET.
+  Environment::ResetThreadCharged();
+  auto read = client.ReadByHash("f", ContentHash(data));
+  const VirtualDuration charged = Environment::ThreadCharged();
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, data);
+  EXPECT_EQ(charged, 2 * kModelled);
 }
 
 // ---------------------------------------------------------------------------

@@ -54,6 +54,7 @@ SPEEDUP_FLOORS = [
     ("rs_decode_4_2_speedup", 2.0),    # measured ~7x
     ("chacha20_speedup", 2.0),         # measured ~5x
     ("sha256_speedup", 2.0),           # measured ~6x
+    ("sha1_speedup", 3.0),             # measured ~9x (SHA-NI vs portable)
     ("depsky_put_speedup", 2.0),       # measured ~7x
     ("depsky_get_speedup", 2.0),       # measured ~6x
 ]
@@ -70,6 +71,7 @@ ABSOLUTE_FLOORS = [
     ("gf_muladd_row_table", 1000.0),
     ("chacha20_inplace", 200.0),
     ("sha256_dispatched", 200.0),
+    ("sha1_dispatched", 200.0),
     ("depsky_put_zero_copy", 50.0),
     ("depsky_put_striped", 25.0),
     ("depsky_get_striped", 25.0),
