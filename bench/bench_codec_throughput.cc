@@ -431,8 +431,9 @@ void Run(const Options& options) {
   {
     // End-to-end through the real DepSkyClient (robust calls, quorums, ACLs,
     // metadata) against zero-latency in-memory clouds, so the measurement is
-    // the data plane's CPU work: monolithic single-object path vs the striped
-    // parallel-unit pipeline on the same file.
+    // the data plane's CPU work: the whole file as one unit (stripe unit
+    // size 0, the paper's single data unit) vs 4 MiB units through the
+    // parallel-unit window, on the same file.
     const size_t large_size = options.quick ? (32u << 20) : (256u << 20);
     auto env = Environment::Instant();
     std::vector<std::unique_ptr<SimulatedCloud>> clouds;
@@ -442,12 +443,11 @@ void Run(const Options& options) {
       clouds.push_back(
           std::make_unique<SimulatedCloud>(profile, env.get(), 70 + i));
     }
-    auto make_client = [&](size_t threshold) {
+    auto make_client = [&](size_t unit_size) {
       DepSkyConfig config;
       config.f = 1;
       config.auth_key = ToBytes("bench-auth-key");
-      config.stripe_threshold = threshold;  // 0 disables striping
-      config.stripe_unit_size = 4u << 20;
+      config.stripe_unit_size = unit_size;  // 0 = the whole file as one unit
       config.stripe_inflight = 0;  // auto: window = host core count
       std::vector<DepSkyCloud> set;
       for (auto& cloud : clouds) {

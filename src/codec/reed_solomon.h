@@ -99,13 +99,15 @@ class ShardArena {
   size_t payload_size_ = 0;
 };
 
-// Thread-safe recycler of ShardArena buffers. A monolithic 256 MB PUT
-// allocates (and page-faults in) a fresh 512 MB zeroed arena every call; the
-// striped write path instead cycles `stripe_inflight` pooled arenas of one
-// unit each, so steady-state encode touches only cache-warm memory. Acquire
+// Thread-safe recycler of ShardArena buffers. Without it every DepSky write
+// or read of one object set allocates (and page-faults in) a fresh zeroed
+// arena — 512 MB for a 256 MB file stored as one unit; with it a striped
+// transfer cycles about one pooled arena per in-flight unit, so
+// steady-state encode and decode touch only cache-warm memory. Acquire
 // reshapes a retired buffer to the requested geometry; only the framing
 // padding is re-zeroed (by the pool-aware PrepareArena), since payload and
-// parity are fully overwritten by the producer and EncodeParity.
+// parity are fully overwritten by the producer and EncodeParity, and a
+// decode overwrites the data region it reads back.
 class ArenaPool {
  public:
   explicit ArenaPool(size_t max_retained = 8) : max_retained_(max_retained) {}

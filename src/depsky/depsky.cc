@@ -149,7 +149,70 @@ bool ResponsiveStatus(const Status& s) {
          s.code() == ErrorCode::kAlreadyExists;
 }
 
+// Runs task(0) .. task(count-1) with at most `depth` tasks in flight. A
+// single task or a window of one runs inline on the caller's thread — a
+// serial pipeline gains nothing from an executor hop. Otherwise the tasks run
+// on the executor and are drained in submission order, so the caller is
+// charged the sum of their charges. Stops launching at the first error and
+// returns it; every launched task is drained first, so tasks may capture the
+// caller's state by reference.
+Status RunWindowed(unsigned depth, InFlightTracker* tracker, size_t count,
+                   const std::function<Status(size_t)>& task) {
+  Status first_error = OkStatus();
+  if (count == 1 || depth <= 1) {
+    for (size_t i = 0; i < count && first_error.ok(); ++i) {
+      first_error = task(i);
+    }
+    return first_error;
+  }
+  std::deque<Future<Status>> window;
+  auto drain_front = [&]() {
+    Status s = window.front().Get();
+    window.pop_front();
+    if (!s.ok() && first_error.ok()) {
+      first_error = s;
+    }
+  };
+  for (size_t i = 0; i < count && first_error.ok(); ++i) {
+    while (window.size() >= depth) {
+      drain_front();
+    }
+    window.push_back(SubmitTracked(tracker, [&task, i]() { return task(i); }));
+  }
+  while (!window.empty()) {
+    drain_front();
+  }
+  return first_error;
+}
+
+// Best-effort delete of `keys` at every cloud, fanned out in parallel (the
+// caller pays the slowest request, not the sum); missing objects are fine.
+void DeleteObjects(const std::vector<DepSkyCloud>& clouds,
+                   const std::vector<std::string>& keys) {
+  std::vector<Future<Status>> futures;
+  futures.reserve(clouds.size() * keys.size());
+  for (const auto& key : keys) {
+    for (const auto& cloud : clouds) {
+      futures.push_back(cloud.store->DeleteAsync(cloud.creds, key));
+    }
+  }
+  WhenAll<Status>(std::move(futures)).Join();
+}
+
 }  // namespace
+
+// One stored object set of a version: the objects under one value key and
+// the plaintext byte range they encode. The records point into the version.
+struct DepSkyClient::ObjectSet {
+  std::string value_key;
+  uint64_t offset = 0;
+  size_t length = 0;
+  std::vector<Bytes>* shard_hashes = nullptr;
+  std::vector<int32_t>* cloud_shard = nullptr;
+  // SHA-256 of the set's plaintext, checked by range reads; null for the one
+  // set of a monolithic version, which the consistency anchor covers.
+  Bytes* unit_hash = nullptr;
+};
 
 DepSkyClient::DepSkyClient(Environment* env, std::vector<DepSkyCloud> clouds,
                            DepSkyConfig config, uint64_t seed)
@@ -227,6 +290,32 @@ std::string DepSkyClient::StripeValueKey(const std::string& unit,
                                          uint64_t stripe_index) {
   return "du/" + unit + "/v" + std::to_string(version) + "/u" +
          std::to_string(stripe_index);
+}
+
+std::vector<DepSkyClient::ObjectSet> DepSkyClient::ObjectSets(
+    const std::string& unit, DepSkyVersion& version) {
+  if (!version.striped()) {
+    return {ObjectSet{ValueKey(unit, version.version), 0, version.size,
+                      &version.shard_hashes, &version.cloud_shard, nullptr}};
+  }
+  const uint64_t unit_size = version.stripe_unit_size;
+  const uint64_t count = version.stripe_units.size();
+  std::vector<ObjectSet> sets;
+  sets.reserve(count);
+  for (uint64_t u = 0; u < count; ++u) {
+    const uint64_t begin = std::min(u * unit_size, version.size);
+    // The last set runs to EOF: a manifest that does not tile the file fails
+    // that set's frame-length check instead of leaving bytes unread.
+    const uint64_t end = u + 1 == count
+                             ? version.size
+                             : std::min(begin + unit_size, version.size);
+    DepSkyStripeUnit& stripe = version.stripe_units[u];
+    sets.push_back(ObjectSet{StripeValueKey(unit, version.version, u), begin,
+                             static_cast<size_t>(end - begin),
+                             &stripe.shard_hashes, &stripe.cloud_shard,
+                             &stripe.content_hash});
+  }
+  return sets;
 }
 
 Bytes DepSkyClient::RandomBytesLocked(size_t size) {
@@ -421,30 +510,25 @@ Result<uint64_t> DepSkyClient::WriteVersion(
   version.content_hash = content_hash;
   version.size = data.size();
 
-  // Large secret-sharing writes take the striped data plane: independent
+  // Large secret-sharing writes are cut into stripe units: independent
   // per-unit pipelines instead of one file-sized arena and quorum round.
-  if (config_.mode == DepSkyMode::kSecretSharing &&
-      config_.stripe_threshold > 0 &&
-      data.size() > config_.stripe_threshold) {
-    return WriteStripedVersion(unit, std::move(md), std::move(version), data);
+  // Everything else is stored as the paper's single data unit.
+  const bool secret_sharing = config_.mode == DepSkyMode::kSecretSharing;
+  const size_t unit_size = config_.stripe_unit();
+  if (secret_sharing && unit_size > 0 && data.size() > unit_size) {
+    version.stripe_unit_size = unit_size;
+    version.stripe_units.resize((data.size() + unit_size - 1) / unit_size);
   }
 
-  // Steps 1-3 (Figure 6): key generation, encryption, erasure coding and
-  // secret sharing. The whole stage is zero-copy: the plaintext is encrypted
-  // straight into the arena's framed data region (the systematic shards alias
-  // that frame), parity is derived in place, and every later consumer —
-  // shard hashing and wire-object serialization — reads arena views. In
-  // replication mode the "shards" are views of the caller's plaintext.
-  std::optional<ShardArena> arena;
+  // Steps 1 and 3 (Figure 6): one key, nonce and secret-sharing split for the
+  // whole file. Share i rides every set's shard i, and each set encrypts at
+  // its byte offset in the file-wide keystream, so the ciphertext is the
+  // same however the file is cut.
+  Bytes key;
   std::vector<SecretShare> shares;
-  const unsigned shard_count = static_cast<unsigned>(clouds_.size());
-  if (config_.mode == DepSkyMode::kSecretSharing) {
-    Bytes key = RandomBytesLocked(ChaCha20::kKeySize);
+  if (secret_sharing) {
+    key = RandomBytesLocked(ChaCha20::kKeySize);
     version.nonce = RandomBytesLocked(ChaCha20::kNonceSize);
-    ErasureCodec codec(config_.n(), config_.k());
-    arena = codec.PrepareArena(data.size(), &arena_pool_);
-    ChaCha20::CryptInto(key, version.nonce, 0, data, arena->payload());
-    codec.ComputeParity(&*arena);
     Result<std::vector<SecretShare>> split = [&]() {
       std::lock_guard<std::mutex> lock(rng_mu_);
       return SecretSharing::Split(key, config_.n(), config_.k(), rng_);
@@ -452,19 +536,51 @@ Result<uint64_t> DepSkyClient::WriteVersion(
     RETURN_IF_ERROR(split.status());
     shares = std::move(*split);
   }
-  auto shard_view = [&](unsigned i) -> ConstByteSpan {
-    return arena ? arena->shard(i) : data;  // full replicas without the arena
-  };
+
+  // Steps 2 and 4: erasure-code and place every object set.
+  const std::vector<ObjectSet> sets = ObjectSets(unit, version);
+  RETURN_IF_ERROR(RunWindowed(
+      config_.stripe_window(), &async_ops_, sets.size(), [&](size_t i) {
+        return WriteObjectSet(md, sets[i], data, key, version.nonce, shares);
+      }));
+
+  // Step 5: publish the version in the metadata object.
+  md.versions.push_back(std::move(version));
+  RETURN_IF_ERROR(PushMetadata(unit, md));
+  return md.versions.back().version;
+}
+
+Status DepSkyClient::WriteObjectSet(const DepSkyMetadata& md,
+                                    const ObjectSet& set, ConstByteSpan data,
+                                    const Bytes& key, const Bytes& nonce,
+                                    const std::vector<SecretShare>& shares) {
+  // The whole stage is zero-copy: the plaintext is encrypted straight into
+  // the pooled arena's framed data region (the systematic shards alias that
+  // frame), parity is derived in place, and every later consumer — shard
+  // hashing and wire-object serialization — reads arena views. In
+  // replication mode every "shard" is a view of the caller's plaintext.
+  const ConstByteSpan plaintext = data.subspan(set.offset, set.length);
+  std::optional<ShardArena> arena;
+  if (config_.mode == DepSkyMode::kSecretSharing) {
+    ErasureCodec codec(config_.n(), config_.k());
+    arena = codec.PrepareArena(plaintext.size(), &arena_pool_);
+    ChaCha20::CryptInto(key, nonce, static_cast<uint32_t>(set.offset / 64),
+                        plaintext, arena->payload());
+    codec.ComputeParity(&*arena);
+  }
+  if (set.unit_hash != nullptr) {
+    *set.unit_hash = Sha256::Hash(plaintext);
+  }
 
   auto encode_object = [&](unsigned shard_index) -> Bytes {
     // The shard bytes move from the arena (or the caller's plaintext) to the
     // wire buffer in this one serialization copy.
-    if (config_.mode == DepSkyMode::kSecretSharing) {
-      return DepSkyValueObject::EncodeParts(shard_view(shard_index),
-                                            shares[shard_index].index,
-                                            shares[shard_index].data);
+    if (!arena) {
+      return DepSkyValueObject::EncodeParts(plaintext, 0, {});
     }
-    return DepSkyValueObject::EncodeParts(shard_view(shard_index), 0, {});
+    return DepSkyValueObject::EncodeParts(arena->shard(shard_index),
+                                          shares[shard_index].index,
+                                          shares[shard_index].data);
   };
 
   // The metadata authenticates the complete stored object — shard AND key
@@ -474,28 +590,23 @@ Result<uint64_t> DepSkyClient::WriteVersion(
   // which only surfaces as a content-hash mismatch after decrypt). The
   // object for shard i is deterministic — share i always rides with shard i,
   // fallback writes included — so the per-shard-index hash is well-defined.
+  const unsigned shard_count = static_cast<unsigned>(clouds_.size());
   std::vector<Bytes> objects(shard_count);
-  version.shard_hashes.resize(shard_count);
+  set.shard_hashes->resize(shard_count);
   for (unsigned i = 0; i < shard_count; ++i) {
     objects[i] = encode_object(i);
-    version.shard_hashes[i] = Sha256::Hash(objects[i]);
+    (*set.shard_hashes)[i] = Sha256::Hash(objects[i]);
   }
 
-  // Step 4: store shard_i + share_i at cloud i (preferred wave + fallback).
-  auto placed = PlaceObjects(md, ValueKey(unit, version.version),
-                             std::move(objects), encode_object);
+  // Store shard_i + share_i at cloud i (preferred wave + fallback).
+  auto placed =
+      PlaceObjects(md, set.value_key, std::move(objects), encode_object);
   if (arena) {
     arena_pool_.Release(std::move(*arena));
   }
-  if (!placed.ok()) {
-    return UnavailableError("depsky write quorum not reached for " + unit);
-  }
-  version.cloud_shard = *std::move(placed);
-
-  // Step 5: publish the version in the metadata object.
-  md.versions.push_back(std::move(version));
-  RETURN_IF_ERROR(PushMetadata(unit, md));
-  return md.versions.back().version;
+  RETURN_IF_ERROR(placed.status());
+  *set.cloud_shard = *std::move(placed);
+  return OkStatus();
 }
 
 Result<std::vector<int32_t>> DepSkyClient::PlaceObjects(
@@ -581,114 +692,6 @@ Result<std::vector<int32_t>> DepSkyClient::PlaceObjects(
     return UnavailableError("write quorum not reached for " + value_key);
   }
   return cloud_shard;
-}
-
-Result<DepSkyStripeUnit> DepSkyClient::WriteStripeUnit(
-    const DepSkyMetadata& md, const std::string& value_key,
-    ConstByteSpan plaintext, const Bytes& key, const Bytes& nonce,
-    const std::vector<SecretShare>& shares, uint32_t counter) {
-  // Same zero-copy pipeline as a monolithic write, at unit granularity: the
-  // pooled arena keeps a stripe window's buffers cache-warm instead of
-  // faulting in a fresh file-sized allocation.
-  ErasureCodec codec(config_.n(), config_.k());
-  ShardArena arena = codec.PrepareArena(plaintext.size(), &arena_pool_);
-  ChaCha20::CryptInto(key, nonce, counter, plaintext, arena.payload());
-  codec.ComputeParity(&arena);
-
-  DepSkyStripeUnit stripe;
-  stripe.content_hash = Sha256::Hash(plaintext);
-  const unsigned shard_count = static_cast<unsigned>(clouds_.size());
-  auto encode_object = [&](unsigned shard_index) -> Bytes {
-    return DepSkyValueObject::EncodeParts(arena.shard(shard_index),
-                                          shares[shard_index].index,
-                                          shares[shard_index].data);
-  };
-  std::vector<Bytes> objects(shard_count);
-  stripe.shard_hashes.resize(shard_count);
-  for (unsigned i = 0; i < shard_count; ++i) {
-    objects[i] = encode_object(i);
-    stripe.shard_hashes[i] = Sha256::Hash(objects[i]);
-  }
-  auto placed = PlaceObjects(md, value_key, std::move(objects), encode_object);
-  arena_pool_.Release(std::move(arena));
-  RETURN_IF_ERROR(placed.status());
-  stripe.cloud_shard = *std::move(placed);
-  return stripe;
-}
-
-Result<uint64_t> DepSkyClient::WriteStripedVersion(const std::string& unit,
-                                                   DepSkyMetadata md,
-                                                   DepSkyVersion version,
-                                                   ConstByteSpan data) {
-  const size_t unit_size = config_.stripe_unit();
-  const size_t unit_count = (data.size() + unit_size - 1) / unit_size;
-  version.stripe_unit_size = unit_size;
-  version.stripe_units.resize(unit_count);
-
-  // One key, nonce and secret-sharing split for the whole file: share i rides
-  // every unit's shard i, and each unit encrypts at its byte offset in the
-  // file-wide keystream — the ciphertext equals a monolithic encryption.
-  Bytes key = RandomBytesLocked(ChaCha20::kKeySize);
-  version.nonce = RandomBytesLocked(ChaCha20::kNonceSize);
-  Result<std::vector<SecretShare>> split = [&]() {
-    std::lock_guard<std::mutex> lock(rng_mu_);
-    return SecretSharing::Split(key, config_.n(), config_.k(), rng_);
-  }();
-  RETURN_IF_ERROR(split.status());
-  const std::vector<SecretShare> shares = std::move(*split);
-
-  // Bounded fan-out: a FIFO window of stripe_window() unit pipelines on the
-  // executor (a window of one runs inline — a serial pipeline gains nothing
-  // from an executor hop). Every launched task is drained before returning
-  // (error paths included), so the by-reference captures below stay valid.
-  const unsigned depth = config_.stripe_window();
-  Status first_error = OkStatus();
-  std::deque<std::pair<size_t, Future<Result<DepSkyStripeUnit>>>> window;
-  auto drain_front = [&]() {
-    auto [index, future] = std::move(window.front());
-    window.pop_front();
-    Result<DepSkyStripeUnit> placed = future.Get();
-    if (placed.ok()) {
-      version.stripe_units[index] = *std::move(placed);
-    } else if (first_error.ok()) {
-      first_error = placed.status();
-    }
-  };
-  for (size_t u = 0; u < unit_count && first_error.ok(); ++u) {
-    while (window.size() >= depth) {
-      drain_front();
-    }
-    const size_t begin = u * unit_size;
-    const size_t length = std::min(unit_size, data.size() - begin);
-    const ConstByteSpan slice(data.data() + begin, length);
-    const uint32_t counter = static_cast<uint32_t>(begin / 64);
-    std::string value_key = StripeValueKey(unit, version.version, u);
-    if (depth <= 1) {
-      Result<DepSkyStripeUnit> placed = WriteStripeUnit(
-          md, value_key, slice, key, version.nonce, shares, counter);
-      if (placed.ok()) {
-        version.stripe_units[u] = *std::move(placed);
-      } else {
-        first_error = placed.status();
-      }
-      continue;
-    }
-    window.emplace_back(
-        u, SubmitTracked(&async_ops_, [this, &md, &key, &version, &shares,
-                                       slice, counter,
-                                       value_key = std::move(value_key)]() {
-          return WriteStripeUnit(md, value_key, slice, key, version.nonce,
-                                 shares, counter);
-        }));
-  }
-  while (!window.empty()) {
-    drain_front();
-  }
-  RETURN_IF_ERROR(first_error);
-
-  md.versions.push_back(std::move(version));
-  RETURN_IF_ERROR(PushMetadata(unit, md));
-  return md.versions.back().version;
 }
 
 // Shared state of one in-flight shard fetch. Collectors (completion
@@ -880,52 +883,25 @@ Result<DepSkyClient::FetchedShards> DepSkyClient::FetchShards(
   return out;
 }
 
-Result<Bytes> DepSkyClient::FetchVersion(const std::string& unit,
-                                         const DepSkyMetadata& md,
-                                         const DepSkyVersion& version) {
-  if (version.striped() && md.mode == DepSkyMode::kSecretSharing) {
-    return FetchStripedVersion(unit, md, version);
-  }
-  const unsigned k = (md.mode == DepSkyMode::kSecretSharing) ? md.k : 1;
+Status DepSkyClient::FetchObjectSet(const std::string& unit,
+                                    const DepSkyMetadata& md,
+                                    const Bytes& nonce, const ObjectSet& set,
+                                    ByteSpan out) {
+  const bool secret_sharing = md.mode == DepSkyMode::kSecretSharing;
   ASSIGN_OR_RETURN(FetchedShards fetched,
-                   FetchShards(unit, ValueKey(unit, version.version), k,
-                               version.cloud_shard, version.shard_hashes));
-
-  Bytes plaintext;
-  if (md.mode == DepSkyMode::kSecretSharing) {
-    // Reassemble into one buffer, then decrypt it in place: the ciphertext
-    // buffer becomes the plaintext without a second allocation or pass.
-    ErasureCodec codec(md.n, md.k);
-    ASSIGN_OR_RETURN(plaintext, codec.Decode(fetched.shards));
-    ASSIGN_OR_RETURN(Bytes key, SecretSharing::Combine(fetched.shares, md.k));
-    ChaCha20::CryptInPlace(key, version.nonce, 0, ByteSpan(plaintext));
-  } else {
-    for (auto& shard : fetched.shards) {
-      if (shard.has_value()) {
-        plaintext = std::move(*shard);
-        break;
-      }
+                   FetchShards(unit, set.value_key, secret_sharing ? md.k : 1,
+                               *set.cloud_shard, *set.shard_hashes));
+  if (!secret_sharing) {
+    // Any hash-valid replica is the plaintext itself.
+    auto replica = std::find_if(
+        fetched.shards.begin(), fetched.shards.end(),
+        [](const std::optional<Bytes>& shard) { return shard.has_value(); });
+    if (replica == fetched.shards.end() || (*replica)->size() != out.size()) {
+      return CorruptionError("replica size mismatch for " + set.value_key);
     }
+    std::copy((*replica)->begin(), (*replica)->end(), out.begin());
+    return OkStatus();
   }
-
-  // Final integrity check: the consistency-anchor hash must match.
-  if (HexEncode(Sha1::Hash(plaintext)) != version.content_hash) {
-    return CorruptionError("content hash mismatch for " + unit);
-  }
-  return plaintext;
-}
-
-Status DepSkyClient::FetchStripeUnit(const std::string& unit,
-                                     const DepSkyMetadata& md,
-                                     const DepSkyVersion& version,
-                                     size_t stripe_index, ByteSpan out,
-                                     bool verify_unit_hash) {
-  const DepSkyStripeUnit& stripe = version.stripe_units[stripe_index];
-  auto fetched_or = FetchShards(
-      unit, StripeValueKey(unit, version.version, stripe_index), md.k,
-      stripe.cloud_shard, stripe.shard_hashes);
-  RETURN_IF_ERROR(fetched_or.status());
-  FetchedShards& fetched = *fetched_or;
 
   // Decode into a pooled arena frame, then decrypt straight into the
   // caller's slice — the decrypt pass is also the move out of the arena.
@@ -945,13 +921,13 @@ Status DepSkyClient::FetchStripeUnit(const std::string& unit,
     arena_pool_.Release(std::move(arena));
     return decoded;
   }
-  // The frame header must restate the unit length (hash-valid shards
+  // The frame header must restate the set's length (hash-valid shards
   // guarantee it; a mismatch means the manifest and objects disagree).
   ByteReader header(arena.data_region());
   uint64_t framed_size = 0;
   if (!header.ReadU64(&framed_size) || framed_size != out.size()) {
     arena_pool_.Release(std::move(arena));
-    return CorruptionError("stripe unit frame mismatch for " + unit);
+    return CorruptionError("object frame mismatch for " + set.value_key);
   }
 
   auto key = SecretSharing::Combine(fetched.shares, md.k);
@@ -959,70 +935,27 @@ Status DepSkyClient::FetchStripeUnit(const std::string& unit,
     arena_pool_.Release(std::move(arena));
     return key.status();
   }
-  const uint32_t counter = static_cast<uint32_t>(
-      stripe_index * version.stripe_unit_size / 64);
-  ChaCha20::CryptInto(*key, version.nonce, counter,
+  ChaCha20::CryptInto(*key, nonce, static_cast<uint32_t>(set.offset / 64),
                       ConstByteSpan(arena.payload()), out);
   arena_pool_.Release(std::move(arena));
-
-  if (verify_unit_hash && Sha256::Hash(out) != stripe.content_hash) {
-    return CorruptionError("stripe unit hash mismatch for " + unit);
-  }
   return OkStatus();
 }
 
-Result<Bytes> DepSkyClient::FetchStripedVersion(const std::string& unit,
-                                                const DepSkyMetadata& md,
-                                                const DepSkyVersion& version) {
-  const size_t unit_size = version.stripe_unit_size;
-  const size_t unit_count = version.stripe_units.size();
-  if (unit_count * unit_size < version.size) {
-    return CorruptionError("stripe manifest shorter than version size");
-  }
+Result<Bytes> DepSkyClient::FetchVersion(const std::string& unit,
+                                         const DepSkyMetadata& md,
+                                         DepSkyVersion& version) {
+  // Every set decodes into its disjoint slice of one buffer.
+  const std::vector<ObjectSet> sets = ObjectSets(unit, version);
   Bytes plaintext(version.size);
+  RETURN_IF_ERROR(RunWindowed(
+      config_.stripe_window(), &async_ops_, sets.size(), [&](size_t i) {
+        return FetchObjectSet(
+            unit, md, version.nonce, sets[i],
+            ByteSpan(plaintext.data() + sets[i].offset, sets[i].length));
+      }));
 
-  // Pipelined unit fetch+decode+decrypt: each unit writes its disjoint slice
-  // of the output, at most stripe_window() units in flight (a window of one
-  // runs inline). All launched tasks are drained before returning, so the
-  // reference captures are safe.
-  const unsigned depth = config_.stripe_window();
-  Status first_error = OkStatus();
-  std::deque<Future<Status>> window;
-  auto drain_front = [&]() {
-    Status s = window.front().Get();
-    window.pop_front();
-    if (!s.ok() && first_error.ok()) {
-      first_error = s;
-    }
-  };
-  for (size_t u = 0; u < unit_count && first_error.ok(); ++u) {
-    while (window.size() >= depth) {
-      drain_front();
-    }
-    const size_t begin = u * unit_size;
-    const size_t length = std::min(unit_size, plaintext.size() - begin);
-    const ByteSpan slice(plaintext.data() + begin, length);
-    // The whole-file consistency-anchor hash is checked below; per-unit
-    // hashes are for range reads that never see the whole file.
-    if (depth <= 1) {
-      Status s = FetchStripeUnit(unit, md, version, u, slice,
-                                 /*verify_unit_hash=*/false);
-      if (!s.ok()) {
-        first_error = s;
-      }
-      continue;
-    }
-    window.push_back(
-        SubmitTracked(&async_ops_, [this, &unit, &md, &version, u, slice]() {
-          return FetchStripeUnit(unit, md, version, u, slice,
-                                 /*verify_unit_hash=*/false);
-        }));
-  }
-  while (!window.empty()) {
-    drain_front();
-  }
-  RETURN_IF_ERROR(first_error);
-
+  // Final integrity check: the consistency-anchor hash must match. (Per-unit
+  // hashes are for range reads, which never see the whole file.)
   if (HexEncode(Sha1::Hash(plaintext)) != version.content_hash) {
     return CorruptionError("content hash mismatch for " + unit);
   }
@@ -1033,7 +966,7 @@ Result<Bytes> DepSkyClient::ReadAt(const std::string& unit,
                                    const std::string& content_hash,
                                    uint64_t offset, size_t length) {
   ASSIGN_OR_RETURN(DepSkyMetadata md, ReadMetadata(unit));
-  const DepSkyVersion* version = md.FindByHash(content_hash);
+  DepSkyVersion* version = md.FindByHash(content_hash);
   if (version == nullptr) {
     return NotFoundError("version " + content_hash + " not visible yet");
   }
@@ -1042,71 +975,48 @@ Result<Bytes> DepSkyClient::ReadAt(const std::string& unit,
   }
   length = std::min<uint64_t>(length, version->size - offset);
 
-  if (!version->striped() || md.mode != DepSkyMode::kSecretSharing) {
-    ASSIGN_OR_RETURN(Bytes all, FetchVersion(unit, md, *version));
-    return Bytes(all.begin() + offset, all.begin() + offset + length);
+  // Fetch only the sets overlapping [offset, offset+length). Each is decoded,
+  // decrypted and checked in full, then the overlap is copied out.
+  std::vector<ObjectSet> sets;
+  for (ObjectSet& set : ObjectSets(unit, *version)) {
+    if (set.offset < offset + length && offset < set.offset + set.length) {
+      sets.push_back(std::move(set));
+    }
   }
-
-  // Fetch only the stripe units overlapping [offset, offset+length). Each
-  // unit is decoded and decrypted in full (its recorded plaintext hash
-  // covers the whole unit), then the overlap is copied out.
-  const size_t unit_size = version->stripe_unit_size;
-  const size_t first_unit = offset / unit_size;
-  const size_t last_unit = (offset + length - 1) / unit_size;
   Bytes out(length);
-
-  const unsigned depth = config_.stripe_window();
-  Status first_error = OkStatus();
-  std::deque<Future<Status>> window;
-  auto drain_front = [&]() {
-    Status s = window.front().Get();
-    window.pop_front();
-    if (!s.ok() && first_error.ok()) {
-      first_error = s;
-    }
-  };
-  auto fetch_unit = [this, &unit, &md, version, unit_size, offset, length,
-                     &out](size_t u) -> Status {
-    const size_t begin = u * unit_size;
-    const size_t unit_length =
-        std::min<size_t>(unit_size, version->size - begin);
-    Bytes buffer(unit_length);
-    RETURN_IF_ERROR(FetchStripeUnit(unit, md, *version, u, ByteSpan(buffer),
-                                    /*verify_unit_hash=*/true));
-    // Copy the overlap into the caller's range (disjoint per unit).
-    const size_t copy_begin = std::max<size_t>(offset, begin);
-    const size_t copy_end =
-        std::min<size_t>(offset + length, begin + unit_length);
-    std::copy(buffer.begin() + (copy_begin - begin),
-              buffer.begin() + (copy_end - begin),
-              out.begin() + (copy_begin - offset));
-    return OkStatus();
-  };
-  for (size_t u = first_unit; u <= last_unit && first_error.ok(); ++u) {
-    while (window.size() >= depth) {
-      drain_front();
-    }
-    if (depth <= 1) {
-      Status s = fetch_unit(u);
-      if (!s.ok()) {
-        first_error = s;
-      }
-      continue;
-    }
-    window.push_back(
-        SubmitTracked(&async_ops_, [fetch_unit, u]() { return fetch_unit(u); }));
-  }
-  while (!window.empty()) {
-    drain_front();
-  }
-  RETURN_IF_ERROR(first_error);
+  RETURN_IF_ERROR(RunWindowed(
+      config_.stripe_window(), &async_ops_, sets.size(),
+      [&](size_t i) -> Status {
+        const ObjectSet& set = sets[i];
+        Bytes buffer(set.length);
+        RETURN_IF_ERROR(
+            FetchObjectSet(unit, md, version->nonce, set, ByteSpan(buffer)));
+        // A stripe unit is checked against its recorded plaintext hash; the
+        // one set of a monolithic version is the whole file, so it is
+        // checked against the consistency anchor.
+        const bool intact =
+            set.unit_hash != nullptr
+                ? Sha256::Hash(buffer) == *set.unit_hash
+                : HexEncode(Sha1::Hash(buffer)) == version->content_hash;
+        if (!intact) {
+          return CorruptionError("content hash mismatch for " + set.value_key);
+        }
+        // Copy the overlap into the caller's range (disjoint per set).
+        const uint64_t begin = std::max(offset, set.offset);
+        const uint64_t end =
+            std::min(offset + length, set.offset + set.length);
+        std::copy(buffer.begin() + (begin - set.offset),
+                  buffer.begin() + (end - set.offset),
+                  out.begin() + (begin - offset));
+        return OkStatus();
+      }));
   return out;
 }
 
 Result<Bytes> DepSkyClient::ReadByHash(const std::string& unit,
                                        const std::string& content_hash) {
   ASSIGN_OR_RETURN(DepSkyMetadata md, ReadMetadata(unit));
-  const DepSkyVersion* version = md.FindByHash(content_hash);
+  DepSkyVersion* version = md.FindByHash(content_hash);
   if (version == nullptr) {
     return NotFoundError("version " + content_hash + " not visible yet");
   }
@@ -1115,19 +1025,19 @@ Result<Bytes> DepSkyClient::ReadByHash(const std::string& unit,
 
 Result<Bytes> DepSkyClient::ReadLatest(const std::string& unit) {
   ASSIGN_OR_RETURN(DepSkyMetadata md, ReadMetadata(unit));
-  const DepSkyVersion* version = md.Latest();
-  if (version == nullptr) {
+  if (md.versions.empty()) {
     return NotFoundError("no versions of " + unit);
   }
-  return FetchVersion(unit, md, *version);
+  return FetchVersion(unit, md, md.versions.back());
 }
 
 void DepSkyClient::ScrubObjectSet(const DepSkyMetadata& md,
-                                  const std::string& value_key,
-                                  const std::vector<Bytes>& shard_hashes,
-                                  std::vector<int32_t>* cloud_shard,
+                                  const ObjectSet& set,
                                   DepSkyScrubReport* report,
                                   bool* metadata_dirty) {
+  const std::string& value_key = set.value_key;
+  const std::vector<Bytes>& shard_hashes = *set.shard_hashes;
+  std::vector<int32_t>* cloud_shard = set.cloud_shard;
   // Probe every recorded holder in parallel through the robust GET path.
   std::vector<unsigned> holders;
   for (unsigned i = 0; i < clouds_.size(); ++i) {
@@ -1269,17 +1179,8 @@ Result<DepSkyScrubReport> DepSkyClient::ScrubUnit(const std::string& unit) {
   bool metadata_dirty = false;
   for (auto& version : md.versions) {
     report.versions_checked++;
-    if (version.striped()) {
-      for (size_t u = 0; u < version.stripe_units.size(); ++u) {
-        ScrubObjectSet(md, StripeValueKey(unit, version.version, u),
-                       version.stripe_units[u].shard_hashes,
-                       &version.stripe_units[u].cloud_shard, &report,
-                       &metadata_dirty);
-      }
-    } else {
-      ScrubObjectSet(md, ValueKey(unit, version.version),
-                     version.shard_hashes, &version.cloud_shard, &report,
-                     &metadata_dirty);
+    for (const ObjectSet& set : ObjectSets(unit, version)) {
+      ScrubObjectSet(md, set, &report, &metadata_dirty);
     }
   }
   if (metadata_dirty) {
@@ -1297,56 +1198,30 @@ Status DepSkyClient::DeleteVersion(const std::string& unit, uint64_t version) {
   if (it == md.versions.end()) {
     return NotFoundError("version not in metadata");
   }
-  // Collect the value keys before erasing: a striped version owns one object
-  // per stripe unit instead of a single monolithic object.
+  // Collect the value keys before erasing the version.
   std::vector<std::string> value_keys;
-  if (it->striped()) {
-    for (size_t u = 0; u < it->stripe_units.size(); ++u) {
-      value_keys.push_back(StripeValueKey(unit, version, u));
-    }
-  } else {
-    value_keys.push_back(ValueKey(unit, version));
+  for (const ObjectSet& set : ObjectSets(unit, *it)) {
+    value_keys.push_back(set.value_key);
   }
   md.versions.erase(it);
   RETURN_IF_ERROR(PushMetadata(unit, md));
-
-  std::vector<Future<Status>> futures;
-  futures.reserve(clouds_.size() * value_keys.size());
-  for (const auto& value_key : value_keys) {
-    for (unsigned i = 0; i < clouds_.size(); ++i) {
-      futures.push_back(
-          clouds_[i].store->DeleteAsync(clouds_[i].creds, value_key));
-    }
-  }
-  WhenAll<Status>(std::move(futures)).Join();
-  return OkStatus();  // best effort: missing replicas are fine
+  DeleteObjects(clouds_, value_keys);
+  return OkStatus();
 }
 
 Status DepSkyClient::DeleteUnit(const std::string& unit) {
   auto md = ReadMetadata(unit);
   if (md.ok()) {
-    // Delete value objects for every version first (one per stripe unit for
-    // striped versions, one monolithic object otherwise).
+    // Value objects of every version first, then the metadata object.
     std::vector<std::string> value_keys;
-    for (const auto& v : md->versions) {
-      if (v.striped()) {
-        for (size_t u = 0; u < v.stripe_units.size(); ++u) {
-          value_keys.push_back(StripeValueKey(unit, v.version, u));
-        }
-      } else {
-        value_keys.push_back(ValueKey(unit, v.version));
+    for (auto& version : md->versions) {
+      for (const ObjectSet& set : ObjectSets(unit, version)) {
+        value_keys.push_back(set.value_key);
       }
     }
-    for (const auto& value_key : value_keys) {
-      for (unsigned i = 0; i < clouds_.size(); ++i) {
-        (void)clouds_[i].store->Delete(clouds_[i].creds, value_key);
-      }
-    }
+    DeleteObjects(clouds_, value_keys);
   }
-  const std::string md_key = MetadataKey(unit);
-  for (unsigned i = 0; i < clouds_.size(); ++i) {
-    (void)clouds_[i].store->Delete(clouds_[i].creds, md_key);
-  }
+  DeleteObjects(clouds_, {MetadataKey(unit)});
   std::lock_guard<std::mutex> lock(pushed_mu_);
   pushed_metadata_.Erase(unit);
   return OkStatus();
@@ -1370,24 +1245,16 @@ Status DepSkyClient::SetGrant(const std::string& unit,
     md.grants.push_back(grant);
   }
 
-  // Apply to the metadata object and to every existing version object.
+  // Apply to the metadata object and to every existing value object.
   RETURN_IF_ERROR(PushMetadata(unit, md));
   ObjectPermissions perms;
   perms.read = grant.read;
   perms.write = grant.write;
-  for (const auto& version : md.versions) {
-    std::vector<std::string> value_keys;
-    if (version.striped()) {
-      for (size_t u = 0; u < version.stripe_units.size(); ++u) {
-        value_keys.push_back(StripeValueKey(unit, version.version, u));
-      }
-    } else {
-      value_keys.push_back(ValueKey(unit, version.version));
-    }
-    for (const auto& value_key : value_keys) {
+  for (auto& version : md.versions) {
+    for (const ObjectSet& set : ObjectSets(unit, version)) {
       for (unsigned i = 0; i < clouds_.size(); ++i) {
         if (i < grant.cloud_ids.size() && !grant.cloud_ids[i].empty()) {
-          (void)clouds_[i].store->SetAcl(clouds_[i].creds, value_key,
+          (void)clouds_[i].store->SetAcl(clouds_[i].creds, set.value_key,
                                          grant.cloud_ids[i], perms);
         }
       }

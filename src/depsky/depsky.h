@@ -72,12 +72,12 @@ struct DepSkyConfig {
   HealthOptions health;
 
   // --- Striped large-file data plane (DESIGN.md "Striped data plane") ---
-  // Secret-sharing writes strictly larger than stripe_threshold bytes are cut
-  // into stripe_unit() sized units, each its own independent
-  // encrypt→erasure-encode→quorum-PUT, fanned out with bounded depth. One
-  // version number, one metadata record and one key/nonce cover all units.
-  // 0 disables striping (everything takes the monolithic path).
-  size_t stripe_threshold = 4 * 1024 * 1024;
+  // A version is stored as one or more object sets ("units"), each its own
+  // encrypt→erasure-encode→quorum-PUT. Secret-sharing writes strictly larger
+  // than stripe_unit() bytes are cut into stripe_unit() sized units fanned
+  // out with bounded depth; anything else is the paper's single data unit.
+  // One version number, one metadata record and one key/nonce cover all
+  // units. 0 stores every version as one unit.
   size_t stripe_unit_size = 4 * 1024 * 1024;
   // Units in flight per write/read: peak client memory for a striped
   // transfer is O(stripe_window() × stripe_unit()), not O(file). 0 = auto:
@@ -91,12 +91,8 @@ struct DepSkyConfig {
   unsigned quorum() const { return n() - f; }
   // Unit size rounded up to the cipher block (64 bytes) so each unit's
   // keystream counter offset (unit byte offset / 64) addresses the same
-  // file-wide stream a monolithic encryption would produce.
-  size_t stripe_unit() const {
-    const size_t base =
-        stripe_unit_size == 0 ? 4 * 1024 * 1024 : stripe_unit_size;
-    return (base + 63) / 64 * 64;
-  }
+  // file-wide stream a one-unit encryption would produce. 0 = one unit.
+  size_t stripe_unit() const { return (stripe_unit_size + 63) / 64 * 64; }
   // Effective in-flight window (resolves the auto default).
   unsigned stripe_window() const {
     if (stripe_inflight > 0) {
@@ -150,10 +146,11 @@ class DepSkyClient {
   // Reads the highest authenticated version.
   Result<Bytes> ReadLatest(const std::string& unit);
 
-  // Range read of the version with the given content hash: for a striped
-  // version only the stripe units overlapping [offset, offset+length) are
-  // fetched (each verified against its recorded plaintext hash); monolithic
-  // versions fall back to a full fetch and slice. Reads past EOF are clamped.
+  // Range read of the version with the given content hash: only the object
+  // sets overlapping [offset, offset+length) are fetched, each verified on
+  // its own — a stripe unit against its recorded plaintext hash, the single
+  // set of a monolithic version (the whole file) against the consistency
+  // anchor. Reads past EOF are clamped.
   Result<Bytes> ReadAt(const std::string& unit, const std::string& content_hash,
                        uint64_t offset, size_t length);
 
@@ -190,7 +187,7 @@ class DepSkyClient {
   uint64_t retries() const { return retries_.load(); }
   uint64_t deadline_expiries() const { return deadline_expiries_.load(); }
   uint64_t hedged_reads() const { return hedged_reads_.load(); }
-  // Arena recycling across stripe units and sequential writes.
+  // Arena recycling across object sets, writes and reads.
   uint64_t arena_pool_hits() const { return arena_pool_.hits(); }
   uint64_t arena_pool_misses() const { return arena_pool_.misses(); }
 
@@ -203,6 +200,7 @@ class DepSkyClient {
 
  private:
   struct ShardFetchState;
+  struct ObjectSet;
 
   // Shards + key shares collected by one quorum shard fetch.
   struct FetchedShards {
@@ -220,10 +218,32 @@ class DepSkyClient {
   // version (the quorum read can lag a push by the consistency window).
   Result<DepSkyMetadata> ReadMetadataForUpdate(const std::string& unit);
 
-  // Fetches and reassembles one version.
+  // The layout decision: a version's stored object sets, in file order. A
+  // monolithic version (the paper's data unit) is one set covering the whole
+  // file under ValueKey with the version-level records; a striped version is
+  // one set per stripe unit. The sets point into `version`, so writers fill
+  // its records through them and scrub rewrites its cloud maps.
+  static std::vector<ObjectSet> ObjectSets(const std::string& unit,
+                                           DepSkyVersion& version);
+
+  // Encodes and places one object set of a write: pooled arena, encrypt at
+  // the set's keystream offset (secret sharing) or plaintext replicas
+  // (replication), stored-object hashes, placement. Fills the set's records.
+  Status WriteObjectSet(const DepSkyMetadata& md, const ObjectSet& set,
+                        ConstByteSpan data, const Bytes& key,
+                        const Bytes& nonce,
+                        const std::vector<SecretShare>& shares);
+  // Fetches one object set's plaintext into `out` (sized to the set):
+  // quorum shard fetch, decode into a pooled arena, decrypt at the set's
+  // keystream offset (or copy the replica in replication mode).
+  Status FetchObjectSet(const std::string& unit, const DepSkyMetadata& md,
+                        const Bytes& nonce, const ObjectSet& set,
+                        ByteSpan out);
+
+  // Fetches, reassembles and anchor-checks one version.
   Result<Bytes> FetchVersion(const std::string& unit,
                              const DepSkyMetadata& md,
-                             const DepSkyVersion& version);
+                             DepSkyVersion& version);
 
   // Places one object set (shard i + share i per cloud) under `value_key`:
   // health-ordered preferred wave fanned out to the write quorum, ACLs on the
@@ -235,50 +255,18 @@ class DepSkyClient {
       std::vector<Bytes> objects,
       const std::function<Bytes(unsigned)>& encode_object);
 
-  // Quorum-fetches k hash-valid stored objects of one value key (monolithic
-  // version or single stripe unit) through the hedged/breaker read path.
+  // Quorum-fetches k hash-valid stored objects of one value key through the
+  // hedged/breaker read path.
   Result<FetchedShards> FetchShards(const std::string& unit,
                                     const std::string& value_key, unsigned k,
                                     const std::vector<int32_t>& cloud_shard,
                                     const std::vector<Bytes>& shard_hashes);
 
-  // Striped write: cuts `data` into stripe units and pipelines their
-  // independent encode+PUT through the executor with at most
-  // config_.stripe_inflight units in flight. `version` arrives with
-  // version/content_hash/size filled in; publishes the stripe manifest.
-  Result<uint64_t> WriteStripedVersion(const std::string& unit,
-                                       DepSkyMetadata md,
-                                       DepSkyVersion version,
-                                       ConstByteSpan data);
-  // One unit of a striped write: pooled arena, encrypt at the unit's
-  // keystream offset, parity, hash, place.
-  Result<DepSkyStripeUnit> WriteStripeUnit(const DepSkyMetadata& md,
-                                           const std::string& value_key,
-                                           ConstByteSpan plaintext,
-                                           const Bytes& key,
-                                           const Bytes& nonce,
-                                           const std::vector<SecretShare>& shares,
-                                           uint32_t counter);
-
-  // Striped read: pipelines unit fetch+decode+decrypt into one buffer.
-  Result<Bytes> FetchStripedVersion(const std::string& unit,
-                                    const DepSkyMetadata& md,
-                                    const DepSkyVersion& version);
-  // Fetches one stripe unit's plaintext into `out` (sized to the unit).
-  // When `verify_unit_hash` is set the decrypted unit is checked against the
-  // manifest's per-unit SHA-256 (range reads can't rely on the whole-file
-  // consistency-anchor hash).
-  Status FetchStripeUnit(const std::string& unit, const DepSkyMetadata& md,
-                         const DepSkyVersion& version, size_t stripe_index,
-                         ByteSpan out, bool verify_unit_hash);
-
   // Scrub of one object set: probes recorded holders, rebuilds lost or
   // corrupt objects byte-identically (erasure re-encode + Lagrange share
   // recovery), re-uploads in place or relocates to an unused cloud (flips
   // *metadata_dirty so the caller pushes the updated map once).
-  void ScrubObjectSet(const DepSkyMetadata& md, const std::string& value_key,
-                      const std::vector<Bytes>& shard_hashes,
-                      std::vector<int32_t>* cloud_shard,
+  void ScrubObjectSet(const DepSkyMetadata& md, const ObjectSet& set,
                       DepSkyScrubReport* report, bool* metadata_dirty);
 
   // Applies all grants (+ owner) to one object at one cloud, waiting for
@@ -328,7 +316,7 @@ class DepSkyClient {
   std::atomic<uint64_t> retries_{0};
   std::atomic<uint64_t> deadline_expiries_{0};
   std::atomic<uint64_t> hedged_reads_{0};
-  // Recycled across stripe units and sequential writes; sized to keep a full
+  // Recycled across object sets, writes and reads; sized to keep a full
   // stripe window's arenas warm.
   ArenaPool arena_pool_;
   // The last metadata record this client pushed, per recently written unit.

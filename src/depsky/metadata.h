@@ -81,10 +81,11 @@ struct DepSkyMetadata {
   static Result<DepSkyMetadata> Decode(const Bytes& data,
                                        const Bytes& auth_key);
 
-  const DepSkyVersion* Latest() const {
-    return versions.empty() ? nullptr : &versions.back();
-  }
   const DepSkyVersion* FindByHash(const std::string& content_hash) const;
+  DepSkyVersion* FindByHash(const std::string& content_hash) {
+    return const_cast<DepSkyVersion*>(
+        static_cast<const DepSkyMetadata&>(*this).FindByHash(content_hash));
+  }
   uint64_t NextVersionNumber() const {
     return versions.empty() ? 1 : versions.back().version + 1;
   }

@@ -53,16 +53,14 @@ class DepSkyTest : public ::testing::Test {
     return DepSkyClient(env_.get(), std::move(set), config, 1234);
   }
 
-  // Client with a small stripe geometry so striping tests stay fast; a
-  // threshold of 0 disables striping entirely.
+  // Client with a small stripe geometry so striping tests stay fast; a unit
+  // size of 0 stores every version as one unit.
   DepSkyClient MakeStripedClient(const std::string& user,
-                                 size_t threshold = 1024,
                                  size_t unit_size = 1024,
                                  unsigned inflight = 4) {
     DepSkyConfig config;
     config.f = 1;
     config.auth_key = ToBytes("deployment-auth-key");
-    config.stripe_threshold = threshold;
     config.stripe_unit_size = unit_size;
     config.stripe_inflight = inflight;
     std::vector<DepSkyCloud> set;
@@ -614,11 +612,88 @@ TEST(DepSkyChargeTest, ReadChargesModelledLatencyNotHostDelay) {
 }
 
 // ---------------------------------------------------------------------------
+// On-cloud format
+// ---------------------------------------------------------------------------
+
+// One line per (cloud, key): the SHA-256 of the stored object, or "absent".
+std::string StoredObjectManifest(
+    const std::vector<std::unique_ptr<SimulatedCloud>>& clouds,
+    const std::vector<std::string>& keys) {
+  std::string manifest;
+  for (size_t i = 0; i < clouds.size(); ++i) {
+    for (const std::string& key : keys) {
+      auto stored = clouds[i]->PeekLatest(key);
+      manifest += "c" + std::to_string(i) + " " + key + " " +
+                  (stored.ok() ? HexEncode(Sha256::Hash(*stored)) : "absent") +
+                  "\n";
+    }
+  }
+  return manifest;
+}
+
+TEST_F(DepSkyTest, StoredBytesMatchGoldenDigests) {
+  // Pins the wire and metadata format: fixed-seed writes must store exactly
+  // these objects. A change here is a format change, not a refactor.
+  auto digest = [](const std::string& manifest) {
+    return HexEncode(Sha256::Hash(ToBytes(manifest)));
+  };
+
+  // Each client goes out of scope before the clouds are inspected: its
+  // destructor awaits the PUTs still in flight past the write quorum.
+  {
+    auto ca = MakeClient("alice");
+    Bytes small = Rng(5).RandomBytes(1000);
+    ASSERT_TRUE(ca.WriteVersion("ca", ContentHash(small), small).ok());
+  }
+  const std::string ca_manifest = StoredObjectManifest(
+      clouds_, {DepSkyClient::MetadataKey("ca"), DepSkyClient::ValueKey("ca", 1)});
+  EXPECT_EQ(digest(ca_manifest), "ba652c4b5fb6531a8f5bbcce02ca9608684dd7c9ea439e7e62aab2b6edb84f0d") << ca_manifest;
+
+  {
+    auto rep = MakeClient("alice", DepSkyMode::kReplication);
+    Bytes replicated = Rng(6).RandomBytes(1000);
+    ASSERT_TRUE(
+        rep.WriteVersion("rep", ContentHash(replicated), replicated).ok());
+  }
+  const std::string rep_manifest = StoredObjectManifest(
+      clouds_,
+      {DepSkyClient::MetadataKey("rep"), DepSkyClient::ValueKey("rep", 1)});
+  EXPECT_EQ(digest(rep_manifest), "ced4522706a2ce4172f558cefa5c44a499b2e814feffdc43fcf9b1e16e4907d9") << rep_manifest;
+
+  {
+    auto striped = MakeStripedClient("alice");
+    Bytes large = Rng(7).RandomBytes(10 * 1024 + 37);  // 11 units of 1 KiB
+    ASSERT_TRUE(striped.WriteVersion("st", ContentHash(large), large).ok());
+  }
+  std::vector<std::string> keys = {DepSkyClient::MetadataKey("st")};
+  for (uint64_t u = 0; u < 11; ++u) {
+    keys.push_back(DepSkyClient::StripeValueKey("st", 1, u));
+  }
+  const std::string st_manifest = StoredObjectManifest(clouds_, keys);
+  EXPECT_EQ(digest(st_manifest), "dcec7807070427f5b8bd311ff47e3727eb9a8291d4cfa4b9a21e04a029a0fca2") << st_manifest;
+}
+
+// ---------------------------------------------------------------------------
 // Striped large-file data plane
 // ---------------------------------------------------------------------------
 
-TEST_F(DepSkyTest, StripedWriteReadRoundTrip) {
-  auto client = MakeStripedClient("alice");
+// Striping tests that run with a unit window of 1 (units inline on the
+// caller's thread) and of 4 (units on the executor).
+class StripeWindowTest : public DepSkyTest,
+                         public ::testing::WithParamInterface<unsigned> {
+ protected:
+  DepSkyClient MakeWindowedClient(const std::string& user) {
+    return MakeStripedClient(user, /*unit_size=*/1024, GetParam());
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Windows, StripeWindowTest, ::testing::Values(1u, 4u),
+                         [](const ::testing::TestParamInfo<unsigned>& info) {
+                           return "window" + std::to_string(info.param);
+                         });
+
+TEST_P(StripeWindowTest, StripedWriteReadRoundTrip) {
+  auto client = MakeWindowedClient("alice");
   Bytes data = Rng(77).RandomBytes(10 * 1024 + 37);  // 11 units, last partial
   ASSERT_TRUE(client.WriteVersion("f", ContentHash(data), data).ok());
 
@@ -643,11 +718,11 @@ TEST_F(DepSkyTest, StripedWriteReadRoundTrip) {
 
 TEST_F(DepSkyTest, BelowThresholdWritesAreByteIdenticalToUnstripedClient) {
   // Same seed, same data, one client with striping enabled and one with it
-  // disabled: a below-threshold write must produce byte-identical stored
+  // disabled: a write of at most one unit must produce byte-identical stored
   // objects — the feature must not perturb the existing single-object path.
-  auto striped = MakeStripedClient("alice", /*threshold=*/1024);
-  auto plain = MakeStripedClient("alice", /*threshold=*/0);
-  Bytes data = Rng(5).RandomBytes(1000);  // exactly at/below the threshold
+  auto striped = MakeStripedClient("alice");
+  auto plain = MakeStripedClient("alice", /*unit_size=*/0);
+  Bytes data = Rng(5).RandomBytes(1000);  // below one 1 KiB unit
   ASSERT_TRUE(striped.WriteVersion("a", ContentHash(data), data).ok());
   ASSERT_TRUE(plain.WriteVersion("b", ContentHash(data), data).ok());
 
@@ -666,8 +741,8 @@ TEST_F(DepSkyTest, BelowThresholdWritesAreByteIdenticalToUnstripedClient) {
   }
 }
 
-TEST_F(DepSkyTest, StripedReadAtBoundaries) {
-  auto client = MakeStripedClient("alice");
+TEST_P(StripeWindowTest, StripedReadAtBoundaries) {
+  auto client = MakeWindowedClient("alice");
   const size_t kUnit = 1024;
   Bytes data = Rng(9).RandomBytes(10 * kUnit + 37);
   const std::string hash = ContentHash(data);
@@ -755,8 +830,8 @@ TEST_F(DepSkyTest, ScrubOnHealthyUnitReportsFullRedundancy) {
   EXPECT_TRUE(report->fully_redundant);
 }
 
-TEST_F(DepSkyTest, ScrubRebuildsLostStripeShardsByteIdentically) {
-  auto client = MakeStripedClient("alice");
+TEST_P(StripeWindowTest, ScrubRebuildsLostStripeShardsByteIdentically) {
+  auto client = MakeWindowedClient("alice");
   Bytes data = Rng(19).RandomBytes(6 * 1024);
   const std::string hash = ContentHash(data);
   ASSERT_TRUE(client.WriteVersion("f", hash, data).ok());

@@ -379,7 +379,6 @@ TEST(StripedRepairChaosTest, OutageWithDataLossScrubRestoresRedundancy) {
   DepSkyConfig config;
   config.f = 1;
   config.auth_key = ToBytes("deployment-auth-key");
-  config.stripe_threshold = 1024;
   config.stripe_unit_size = 1024;
   config.stripe_inflight = 4;
   std::vector<DepSkyCloud> set;

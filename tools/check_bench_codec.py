@@ -10,8 +10,8 @@ Two families of checks, both hardware-portable by construction:
    back to scalar), not that CI got a slower machine.
 
 2. The striped large-file pipeline. depsky_put_striped /
-   depsky_get_striped are measured against the monolithic single-object
-   path on the same file in the same run. The floor is deliberately
+   depsky_get_striped are measured against the same file stored as one
+   unit (stripe_unit_size = 0, the "mono" keys) in the same run. The floor is deliberately
    below the ~1.3x PUT / ~1.2x GET measured on a 1-core host, where the
    whole gain is cache locality: each 4 MB unit's
    encrypt→hash→erasure-code→hash chain runs while the unit is still
