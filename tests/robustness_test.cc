@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
 
@@ -229,8 +230,13 @@ TEST_F(DepSkyTimerTest, DeadlineExpiryCountsAndRecovers) {
     clouds_[3]->faults().SetLatencyDegradation(30 * kSecond);
     auto md = client.ReadMetadata("f");
     ASSERT_TRUE(md.ok()) << md.status().ToString();
-    // Let the straggler's deadline fire on the timer thread.
-    env_->Sleep(2 * kSecond);
+    // Let the straggler's deadline fire on the timer thread. At 1000x
+    // compression a loaded host can delay that thread by whole virtual
+    // seconds, so wait for the count, but stop well before the straggler's
+    // 30 s answer could claim the attempt instead.
+    for (int i = 0; i < 40 && client.deadline_expiries() == 0; ++i) {
+      env_->Sleep(500 * kMillisecond);
+    }
     EXPECT_GE(client.deadline_expiries(), 1u);
     clouds_[3]->faults().SetLatencyDegradation(0);
   }
@@ -481,9 +487,11 @@ TEST(StripedRepairChaosTest, OutageWithDataLossScrubRestoresRedundancy) {
 
 TEST(LeaseChaosTest, ReplicaCampaignFallsBackWithZeroStaleReads) {
   // Real SMR timers (view change, resend) need time to flow: Instant() would
-  // fire every client timeout at once. 1000x compression keeps the 8 s
-  // campaign at ~10 ms of wall clock.
-  auto env = Environment::Scaled(1e-3);
+  // fire every client timeout at once. 100x compression keeps the 8 s
+  // campaign at ~80 ms of wall clock; at 1000x a millisecond of real compute
+  // already costs a virtual second, so a CoC write (~2 ms of hashing,
+  // coding and SMR round trips) would outlast the phases timed below.
+  auto env = Environment::Scaled(1e-2);
   DeploymentOptions dopts;
   dopts.backend = ScfsBackendKind::kCoc;
   dopts.lease_ttl = 10 * kSecond;  // outlives the campaign horizon
@@ -528,8 +536,12 @@ TEST(LeaseChaosTest, ReplicaCampaignFallsBackWithZeroStaleReads) {
 
   // Phase 1: writes racing reads, ending before the lease window opens.
   // Sizes grow monotonically, so once a write of `acked` bytes has been
-  // acknowledged, any read returning fewer bytes is a stale read.
-  while (env->Now() < runner.origin() + 4 * kSecond) {
+  // acknowledged, any read returning fewer bytes is a stale read. A batch
+  // only starts if a batch as long as the longest one so far still ends
+  // before the window: the first batch always runs.
+  VirtualDuration longest_batch = 0;
+  while (env->Now() + longest_batch < window_open) {
+    const auto batch_start = env->Now();
     if (writer->WriteFile("/chaos/f", Bytes(acked + 1, 'v')).ok()) {
       ++acked;
     } else {
@@ -546,6 +558,7 @@ TEST(LeaseChaosTest, ReplicaCampaignFallsBackWithZeroStaleReads) {
       }
       env->Sleep(50 * kMillisecond);
     }
+    longest_batch = std::max(longest_batch, env->Now() - batch_start);
   }
 
   // Phase 2: jump to mid-window. The chaos plane has suspended grants and
