@@ -231,17 +231,35 @@ Bytes SeedGetPipeline(const PipelineConfig& cfg,
   return SeedChaChaCrypt(cfg.key, cfg.nonce, 0, ciphertext);
 }
 
+// The read pipeline DepSkyClient::FetchObjectSet runs: decode the surviving
+// shards' views into a reused pooled arena frame, check the frame's length
+// header, then decrypt out of the frame straight into the caller's buffer.
 Bytes SpanGetPipeline(const PipelineConfig& cfg,
-                      const std::vector<std::optional<Bytes>>& shards) {
+                      const std::vector<std::optional<Bytes>>& shards,
+                      size_t size, ArenaPool* pool) {
   ErasureCodec codec(cfg.n, cfg.k);
-  auto plaintext = codec.Decode(shards);
-  if (!plaintext.ok()) {
-    std::fprintf(stderr, "decode failed: %s\n",
-                 plaintext.status().ToString().c_str());
+  const size_t shard_size = codec.ShardSize(size);
+  std::vector<std::optional<ConstByteSpan>> views(shards.size());
+  for (size_t i = 0; i < shards.size(); ++i) {
+    if (shards[i].has_value()) {
+      views[i] = ConstByteSpan(*shards[i]);
+    }
+  }
+  ShardArena arena = pool->Acquire(cfg.n, cfg.k, shard_size, size);
+  ReedSolomon rs(cfg.n, cfg.k);
+  Status decoded =
+      rs.DecodeInto(views, shard_size, arena.mutable_data_region());
+  ByteReader header(arena.data_region());
+  uint64_t framed_size = 0;
+  if (!decoded.ok() || !header.ReadU64(&framed_size) || framed_size != size) {
+    std::fprintf(stderr, "decode failed: %s\n", decoded.ToString().c_str());
     std::abort();  // the bench must stay a trustworthy oracle
   }
-  ChaCha20::CryptInPlace(cfg.key, cfg.nonce, 0, ByteSpan(*plaintext));
-  return std::move(*plaintext);
+  Bytes out(size);
+  ChaCha20::CryptInto(cfg.key, cfg.nonce, 0, ConstByteSpan(arena.payload()),
+                      ByteSpan(out));
+  pool->Release(std::move(arena));
+  return out;
 }
 
 struct Options {
@@ -416,8 +434,13 @@ void Run(const Options& options) {
       Bytes out = SeedGetPipeline(cfg, shards, payload);
       (void)out;
     });
+    ArenaPool pool;
+    if (SpanGetPipeline(cfg, shards, payload.size(), &pool) != payload) {
+      std::fprintf(stderr, "zero-copy GET pipeline returned wrong bytes\n");
+      std::abort();
+    }
     double span = MeasureMbps(payload.size(), min_s, [&] {
-      Bytes out = SpanGetPipeline(cfg, shards);
+      Bytes out = SpanGetPipeline(cfg, shards, payload.size(), &pool);
       (void)out;
     });
     std::printf("seed %8.0f MB/s   zero-copy %8.0f MB/s   speedup %.1fx\n",

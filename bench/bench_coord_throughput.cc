@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "bench/harness.h"
+#include "bench/scenario/latency_recorder.h"
 #include "src/cloud/providers.h"
 #include "src/coord/partitioned_coordination.h"
 #include "src/coord/smr.h"
@@ -164,25 +165,23 @@ ReadLatency RunReads(Environment* env, bool seed_mode, int clients, int ops) {
   for (int c = 0; c < clients; ++c) {
     (void)coord.Write(ClientName(c), "r" + std::to_string(c), ToBytes("v"));
   }
-  std::vector<std::vector<double>> latencies(clients);
+  std::vector<LatencyRecorder> latencies(clients);
   RunClients(clients, [&](int c) {
     const std::string client = ClientName(c);
     const std::string key = "r" + std::to_string(c);
-    latencies[c].reserve(ops);
     for (int i = 0; i < ops; ++i) {
       VirtualTime start = env->Now();
       (void)coord.Read(client, key);
-      latencies[c].push_back(ToSeconds(env->Now() - start) * 1e3);
+      latencies[c].Record(static_cast<uint64_t>(env->Now() - start));
     }
   });
-  std::vector<double> all;
-  for (const auto& per_client : latencies) {
-    all.insert(all.end(), per_client.begin(), per_client.end());
+  LatencyRecorder all;
+  for (const LatencyRecorder& per_client : latencies) {
+    all.Merge(per_client);
   }
   ReadLatency out;
-  LatencySummary summary = Summarize(std::move(all));
-  out.mean_ms = summary.mean;
-  out.p95_ms = summary.p95;
+  out.mean_ms = all.MeanMs();
+  out.p95_ms = all.PercentileMs(95);
   out.counters = coord.cluster().counters();
   return out;
 }

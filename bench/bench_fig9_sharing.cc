@@ -6,6 +6,7 @@
 #include <map>
 
 #include "bench/harness.h"
+#include "bench/scenario/latency_recorder.h"
 #include "src/baselines/dropbox_sim.h"
 #include "src/crypto/sha1.h"
 #include "src/scfs/deployment.h"
@@ -24,8 +25,8 @@ const size_t kSizes[] = {256 * 1024, 1024 * 1024, 4 * 1024 * 1024,
 //   non-blocking  close returned immediately; the latency is the in-flight
 //                 background upload (+ metadata update + unlock) plus B's
 //                 fetch once it is published.
-std::vector<double> MeasureScfs(Environment* env, ScfsBackendKind backend,
-                                ScfsMode mode, size_t size) {
+LatencyRecorder MeasureScfs(Environment* env, ScfsBackendKind backend,
+                            ScfsMode mode, size_t size) {
   DeploymentOptions options;
   options.backend = backend;
   auto deployment = Deployment::Create(env, options);
@@ -41,7 +42,7 @@ std::vector<double> MeasureScfs(Environment* env, ScfsBackendKind backend,
     return {};
   }
 
-  std::vector<double> latencies;
+  LatencyRecorder latencies;
   Rng rng(static_cast<uint64_t>(size) * 31 + (mode == ScfsMode::kBlocking));
   for (int trial = 0; trial < kTrials; ++trial) {
     const std::string path = "/shared-" + std::to_string(size) + "-" +
@@ -69,8 +70,8 @@ std::vector<double> MeasureScfs(Environment* env, ScfsBackendKind backend,
       }
       env->Sleep(100 * kMillisecond);  // B's retry cadence
     }
-    latencies.push_back(
-        ToSeconds(upload + Environment::ThreadCharged()));
+    latencies.Record(
+        static_cast<uint64_t>(upload + Environment::ThreadCharged()));
   }
   (*writer)->DrainBackground();
   (void)(*writer)->Unmount();
@@ -78,13 +79,13 @@ std::vector<double> MeasureScfs(Environment* env, ScfsBackendKind backend,
   return latencies;
 }
 
-std::vector<double> MeasureDropbox(Environment* env, size_t size) {
+LatencyRecorder MeasureDropbox(Environment* env, size_t size) {
   DropboxSim dropbox(env, {}, static_cast<uint64_t>(size));
-  std::vector<double> latencies;
+  LatencyRecorder latencies;
   for (int trial = 0; trial < kTrials; ++trial) {
     Environment::ResetThreadCharged();
     (void)dropbox.ShareFile(size);
-    latencies.push_back(ToSeconds(Environment::ThreadCharged()));
+    latencies.Record(static_cast<uint64_t>(Environment::ThreadCharged()));
   }
   return latencies;
 }
@@ -94,7 +95,7 @@ void Run() {
 
   struct System {
     std::string name;
-    std::function<std::vector<double>(size_t)> measure;
+    std::function<LatencyRecorder(size_t)> measure;
   };
   std::vector<System> systems = {
       {"CoC-B",
@@ -127,11 +128,11 @@ void Run() {
   for (const auto& system : systems) {
     std::vector<std::string> cells = {system.name};
     for (size_t size : kSizes) {
-      LatencySummary summary = Summarize(system.measure(size));
+      const LatencyRecorder latencies = system.measure(size);
       char buffer[48];
       std::snprintf(buffer, sizeof(buffer), "%s / %s",
-                    FormatSeconds(summary.p50).c_str(),
-                    FormatSeconds(summary.p90).c_str());
+                    FormatSeconds(latencies.PercentileMs(50) / 1e3).c_str(),
+                    FormatSeconds(latencies.PercentileMs(90) / 1e3).c_str());
       cells.push_back(buffer);
     }
     PrintRow(cells, widths);

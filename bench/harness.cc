@@ -323,45 +323,6 @@ bool BenchJsonWriter::WriteFile(const std::string& path) const {
 // Statistics & printing.
 // ---------------------------------------------------------------------------
 
-namespace {
-// Interpolated rank over an already-sorted sample.
-double SortedPercentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) {
-    return 0;
-  }
-  double rank = p / 100.0 * (static_cast<double>(sorted.size()) - 1);
-  size_t low = static_cast<size_t>(std::floor(rank));
-  size_t high = static_cast<size_t>(std::ceil(rank));
-  double fraction = rank - static_cast<double>(low);
-  return sorted[low] + (sorted[high] - sorted[low]) * fraction;
-}
-}  // namespace
-
-double Percentile(std::vector<double> values, double p) {
-  std::sort(values.begin(), values.end());
-  return SortedPercentile(values, p);
-}
-
-LatencySummary Summarize(std::vector<double> values) {
-  LatencySummary out;
-  if (values.empty()) {
-    return out;
-  }
-  std::sort(values.begin(), values.end());
-  out.count = values.size();
-  double sum = 0;
-  for (double v : values) {
-    sum += v;
-  }
-  out.mean = sum / static_cast<double>(values.size());
-  out.p50 = SortedPercentile(values, 50);
-  out.p90 = SortedPercentile(values, 90);
-  out.p95 = SortedPercentile(values, 95);
-  out.p99 = SortedPercentile(values, 99);
-  out.max = values.back();
-  return out;
-}
-
 void PrintHeader(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
 }

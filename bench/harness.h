@@ -210,27 +210,6 @@ class BenchJsonWriter {
 // Statistics and printing.
 // ---------------------------------------------------------------------------
 
-// Interpolated-rank percentile (linear interpolation between closest ranks,
-// the numpy default): p in [0, 100]. Returns 0 on an empty sample — callers
-// printing summary tables treat "no data" as zero rather than poisoning the
-// output with NaN.
-double Percentile(std::vector<double> values, double p);
-
-// One-sort summary of a latency sample: mean plus the common percentiles.
-// The single shared implementation for the closed-loop benches — the
-// scenario engine's fixed-memory LatencyRecorder (bench/scenario) is the
-// tool for open-loop sample counts.
-struct LatencySummary {
-  size_t count = 0;
-  double mean = 0;
-  double p50 = 0;
-  double p90 = 0;
-  double p95 = 0;
-  double p99 = 0;
-  double max = 0;
-};
-LatencySummary Summarize(std::vector<double> values);
-
 // One-line coordination-plane counter report (ordered commands, instances,
 // batch factor, fast-path reads, fallbacks), shared by the benches that
 // drive the replicated coordination service.

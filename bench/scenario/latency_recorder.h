@@ -1,9 +1,9 @@
 // LatencyRecorder: HDR-histogram-style log-bucketed latency accounting.
 //
 // An open-loop sweep records millions of samples per rate point; sorting
-// them for percentiles (bench/harness.h Summarize) would cost O(n log n)
-// time and O(n) memory per op class per worker. The recorder instead keeps
-// a fixed ~30 KB bucket array with bounded relative error:
+// them for percentiles would cost O(n log n) time and O(n) memory per op
+// class per worker. The recorder instead keeps a fixed ~30 KB bucket array
+// with bounded relative error:
 //
 //   - values below 2^7 = 128 land in 128 exact one-microsecond buckets;
 //   - each octave above is split into 64 sub-buckets, so the bucket width

@@ -101,26 +101,4 @@ UsageTotals CostMeter::Totals(const CanonicalId& account) const {
   return it == usage_.end() ? UsageTotals{} : it->second;
 }
 
-UsageTotals CostMeter::GrandTotals() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  UsageTotals out;
-  for (const auto& [account, u] : usage_) {
-    out.outbound_cost += u.outbound_cost;
-    out.inbound_cost += u.inbound_cost;
-    out.request_cost += u.request_cost;
-    out.bytes_out += u.bytes_out;
-    out.bytes_in += u.bytes_in;
-    out.puts += u.puts;
-    out.gets += u.gets;
-    out.lists += u.lists;
-    out.deletes += u.deletes;
-  }
-  return out;
-}
-
-void CostMeter::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  usage_.clear();
-}
-
 }  // namespace scfs

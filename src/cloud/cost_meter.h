@@ -72,10 +72,7 @@ class CostMeter {
   double StorageCostPerDay(const CanonicalId& account) const;
 
   UsageTotals Totals(const CanonicalId& account) const;
-  UsageTotals GrandTotals() const;
   const PriceBook& prices() const { return prices_; }
-
-  void Reset();
 
  private:
   PriceBook prices_;

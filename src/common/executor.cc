@@ -28,11 +28,6 @@ void AsyncExecutor::Post(std::function<void()> task) {
   }
 }
 
-size_t AsyncExecutor::thread_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return workers_.size();
-}
-
 void AsyncExecutor::WorkerLoop() {
   for (;;) {
     std::function<void()> task;

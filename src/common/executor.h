@@ -54,13 +54,10 @@ class AsyncExecutor {
     return promise.future();
   }
 
-  // Workers ever spawned (high-water mark of concurrency); for tests.
-  size_t thread_count() const;
-
  private:
   void WorkerLoop();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;

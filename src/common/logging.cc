@@ -1,6 +1,5 @@
 #include "src/common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <mutex>
@@ -8,7 +7,7 @@
 namespace scfs {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::kWarning};
+constexpr LogLevel kMinLevel = LogLevel::kWarning;
 std::mutex g_log_mu;
 
 const char* LevelName(LogLevel level) {
@@ -31,8 +30,7 @@ const char* BaseName(const char* file) {
 }
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_level.store(level); }
-LogLevel GetLogLevel() { return g_level.load(); }
+LogLevel GetLogLevel() { return kMinLevel; }
 
 void LogLine(LogLevel level, const char* file, int line,
              const std::string& message) {

@@ -1,5 +1,5 @@
-// Minimal leveled logger. Off by default above WARNING so tests and benches
-// stay quiet; examples turn INFO on.
+// Minimal leveled logger. Lines below WARNING are dropped so tests and
+// benches stay quiet.
 
 #ifndef SCFS_COMMON_LOGGING_H_
 #define SCFS_COMMON_LOGGING_H_
@@ -11,7 +11,6 @@ namespace scfs {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
-void SetLogLevel(LogLevel level);
 LogLevel GetLogLevel();
 
 // Internal: emits one formatted line to stderr (thread-safe).

@@ -109,14 +109,12 @@ class CoordinationService {
   Status ImportEntry(const std::string& client, const std::string& key,
                      const Bytes& payload);
   // Lease-delegated caching: acquire (or renew — extend-only) a read lease
-  // on a key prefix for `session`, returning the grant snapshot. Both ride
+  // on a key prefix for `session`, returning the grant snapshot. It rides
   // the ordered path so grants serialize with mutations.
   Result<LeaseGrant> AcquireLease(const std::string& client,
                                   const std::string& session,
                                   const std::string& prefix,
                                   VirtualDuration ttl);
-  Status ReleaseLease(const std::string& client, const std::string& session,
-                      const std::string& prefix);
 
   // -- Asynchronous typed wrappers -----------------------------------------
   // Futures over SubmitAsync; the charge semantics follow the future
@@ -133,8 +131,6 @@ class CoordinationService {
   Future<Status> RenewLockAsync(const std::string& client,
                                 const std::string& name, uint64_t token,
                                 VirtualDuration lease);
-  Future<Status> UnlockAsync(const std::string& client, const std::string& name,
-                             uint64_t token);
   Future<Status> ImportEntryAsync(const std::string& client,
                                   const std::string& key,
                                   const Bytes& payload);

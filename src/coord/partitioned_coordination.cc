@@ -63,6 +63,8 @@ bool StartsWith(const std::string& s, const char* prefix) {
 // most one migration is in flight, so one retry normally suffices; the
 // budget only guards against a pathological storm of back-to-back splits.
 constexpr int kMaxRouteRetries = 8;
+// How often a mutation stalled behind a migrating range re-checks the freeze.
+constexpr VirtualDuration kMigrationStallPoll = 10 * kMillisecond;
 
 }  // namespace
 
@@ -179,22 +181,6 @@ ElasticCounters PartitionedCoordination::elastic_counters() const {
   return elastic_;
 }
 
-std::vector<double> PartitionedCoordination::WindowedOpsPerSecond() const {
-  std::lock_guard<std::mutex> lock(route_mu_);
-  return windowed_ops_s_;
-}
-
-double PartitionedCoordination::WindowedHotShare() const {
-  std::lock_guard<std::mutex> lock(route_mu_);
-  double total = 0;
-  double top = 0;
-  for (double rate : windowed_ops_s_) {
-    total += rate;
-    top = std::max(top, rate);
-  }
-  return total > 0 ? top / total : 0.0;
-}
-
 std::shared_ptr<const RouteMap> PartitionedCoordination::ClientRouteMap(
     const std::string& client) {
   std::lock_guard<std::mutex> lock(route_mu_);
@@ -280,7 +266,7 @@ Result<CoordReply> PartitionedCoordination::RoutedExecute(
       if (env_->Now() >= stall_deadline) {
         return UnavailableError("mutation stalled behind a wedged migration");
       }
-      env_->Sleep(config_.migration_stall_poll);
+      env_->Sleep(kMigrationStallPoll);
       continue;
     }
     if (rejected) {
@@ -404,11 +390,6 @@ SmrCounters PartitionedCoordination::counters() const {
     out += partition->counters();
   }
   return out;
-}
-
-SmrCounters PartitionedCoordination::partition_counters(
-    unsigned partition) const {
-  return partitions_[partition]->counters();
 }
 
 PartitionLoadSnapshot PartitionedCoordination::LoadSnapshot() const {
@@ -887,8 +868,8 @@ void PartitionedCoordination::ControllerLoop() {
       continue;
     }
     double total = 0;
+    double hot_rate = 0;
     unsigned hot = 0;
-    unsigned cold = 0;
     bool busy = false;
     {
       std::lock_guard<std::mutex> lock(route_mu_);
@@ -899,48 +880,20 @@ void PartitionedCoordination::ControllerLoop() {
           windowed_ops_s_[i] = 0.5 * windowed_ops_s_[i] + 0.5 * rates[i];
         }
       }
-      std::vector<bool> owns(partitions_.size(), false);
-      for (const RouteRange& range : map_->ranges) {
-        owns[range.partition] = true;
-      }
-      cold = static_cast<unsigned>(windowed_ops_s_.size());
       for (unsigned i = 0; i < windowed_ops_s_.size(); ++i) {
         total += windowed_ops_s_[i];
         if (windowed_ops_s_[i] > windowed_ops_s_[hot]) {
           hot = i;
         }
-        if (owns[i] && (cold == windowed_ops_s_.size() ||
-                        windowed_ops_s_[i] < windowed_ops_s_[cold])) {
-          cold = i;
-        }
       }
+      hot_rate = windowed_ops_s_[hot];
       busy = migrating_.has_value();
     }
     if (busy || total < config_.split_min_total_ops_s) {
       continue;
     }
-    const double hot_share = WindowedHotShare();
-    if (hot_share > config_.split_hot_share) {
+    if (hot_rate / total > config_.split_hot_share) {
       SplitPartition(hot);  // kUnavailable without a spare; benign
-      continue;
-    }
-    if (config_.merge_cold_share > 0 &&
-        active_partition_count() > std::max(1u, config_.partitions)) {
-      const std::vector<double> windowed = WindowedOpsPerSecond();
-      if (cold < windowed.size() && total > 0 &&
-          windowed[cold] / total < config_.merge_cold_share) {
-        // Fold the cooled partition into the least-loaded *other* active
-        // partition.
-        unsigned dst = cold;
-        for (unsigned i = 0; i < windowed.size(); ++i) {
-          if (i != cold && (dst == cold || windowed[i] < windowed[dst])) {
-            dst = i;
-          }
-        }
-        if (dst != cold) {
-          MergePartitions(cold, dst);
-        }
-      }
     }
   }
 }

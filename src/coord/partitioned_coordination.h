@@ -36,8 +36,8 @@
 //     as the cross-partition rename. Mutations aimed into the migrating
 //     range stall until the commit flips the map; leases covering migrated
 //     keys are revoked at commit through the on_migration_commit hook so no
-//     client serves stale delegated state. Cooled partitions merge back
-//     (manually or automatically), returning the spare.
+//     client serves stale delegated state. MergePartitions folds a cooled
+//     partition back, returning the spare.
 //   * Cross-partition writes — kRenamePrefix cannot be atomic across
 //     partitions and is rejected with kNotSupported when N > 1; the
 //     metadata service layers a crash-recoverable intent-record protocol
@@ -119,17 +119,11 @@ struct PartitionedCoordinationConfig {
   // ...but only while the plane is doing real work: below this aggregate
   // ops/s the controller stays idle (an idle plane's share is noise).
   double split_min_total_ops_s = 1.0;
-  // Auto-merge: when > 0 and more partitions are active than the initial
-  // count, a partition whose EWMA share cooled below this is merged into
-  // the next-coldest active partition, returning the spare. 0 disables
-  // automatic merging (MergePartitions stays available).
-  double merge_cold_share = 0.0;
 
   // Mutations aimed into a range that is mid-migration stall (the range is
   // write-frozen between prepare and commit); past this budget they fail
   // kUnavailable instead of waiting forever behind a wedged migration.
   VirtualDuration migration_stall_timeout = 120 * kSecond;
-  VirtualDuration migration_stall_poll = 10 * kMillisecond;
 
   // Invoked at migration commit, before the route change is visible, with
   // one revocation per migrated key: the deployment wires this to
@@ -222,12 +216,6 @@ class PartitionedCoordination : public CoordinationService {
   unsigned active_partition_count() const;
   ElasticCounters elastic_counters() const;
 
-  // The controller's current per-partition ops/s EWMAs and the busiest
-  // partition's share of their total — windowed load, not history. Empty /
-  // zero until the controller (auto_split) has completed a window.
-  std::vector<double> WindowedOpsPerSecond() const;
-  double WindowedHotShare() const;
-
   // Test hook: abort the next manually-triggered migration at a phase
   // boundary, modeling a controller crash. The aborted migration leaves its
   // durable records (and the write freeze) in place for ReplayMigrations.
@@ -241,8 +229,6 @@ class PartitionedCoordination : public CoordinationService {
   SmrCluster& cluster(unsigned partition) { return *partitions_[partition]; }
   // Aggregate protocol counters across all partitions.
   SmrCounters counters() const;
-  // One partition's counters (ops and per-op message accounting).
-  SmrCounters partition_counters(unsigned partition) const;
   // Timestamped per-partition counter snapshot; see PartitionLoadSnapshot.
   PartitionLoadSnapshot LoadSnapshot() const;
   uint64_t reply_bytes_out() const;

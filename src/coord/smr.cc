@@ -52,6 +52,10 @@ uint64_t VouchedFrontier(std::vector<uint64_t> frontiers, unsigned quorum) {
 // keep the entry re-broadcasting forever.
 constexpr int kCatchUpResendLimit = 8;
 
+// Request re-broadcasts (one per client_timeout without a reply quorum)
+// before a client gives up on the cluster with kUnavailable.
+constexpr int kMaxClientRetries = 8;
+
 // Caps on the state-transfer collection buffers. The payload-vs-digest
 // check catches a forged snapshot, but a self-consistent lie — garbage
 // hashed honestly — can only be rejected by never reaching the vouch
@@ -142,8 +146,14 @@ void SmrCluster::CrashReplica(unsigned index) {
 
 void SmrCluster::RestartReplica(unsigned index) {
   // Crash-recovery restart: the replica resumes from its state as of the
-  // crash (it dropped everything delivered in between) and rejoins lagging.
-  replicas_[index]->crashed.store(false);
+  // crash and rejoins lagging. Everything delivered in between is lost,
+  // including what a descheduled replica loop has not consumed and dropped
+  // yet — replaying that backlog would catch the replica up through the
+  // ordered path as if it had never crashed.
+  Replica& r = *replicas_[index];
+  while (r.inbox.TryPop().has_value()) {
+  }
+  r.crashed.store(false);
 }
 
 void SmrCluster::SetReplicaByzantine(unsigned index, bool byzantine) {
@@ -509,7 +519,7 @@ Result<CoordReply> SmrCluster::Execute(const CoordCommand& command) {
       return UnavailableError("smr cluster shut down");
     }
     if (!msg.has_value()) {
-      if (++retries > config_.max_client_retries) {
+      if (++retries > kMaxClientRetries) {
         std::lock_guard<std::mutex> lock(clients_mu_);
         client_queues_.erase(request_id);
         return UnavailableError("coordination service not responding");

@@ -104,7 +104,6 @@ struct SmrConfig {
   LatencyModel replica_link;   // one-way replica <-> replica
   VirtualDuration client_timeout = FromMillis(1500);
   VirtualDuration order_timeout = FromMillis(800);  // failure detector
-  int max_client_retries = 8;
 
   // Throughput features; disabling all three restores the seed's
   // one-command-per-instance lock-step ordering (the benchmark baseline).

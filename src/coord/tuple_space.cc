@@ -250,7 +250,7 @@ void TupleSpace::ExpireLeases(VirtualTime now) {
 void TupleSpace::RevokeCoveringLeases(const std::string& key,
                                       CoordReply* reply) {
   // A lease on prefix P covers key K iff P is a prefix of K. Leases are few
-  // (bounded per client by lease_max_prefixes), so a linear scan is fine.
+  // (the metadata service caps them per client), so a linear scan is fine.
   for (auto it = leases_.begin(); it != leases_.end();) {
     const std::string& prefix = it->first;
     if (key.compare(0, prefix.size(), prefix) == 0) {

@@ -4,6 +4,7 @@
 #include <deque>
 #include <numeric>
 
+#include "src/common/backoff.h"
 #include "src/crypto/chacha20.h"
 #include "src/crypto/secret_sharing.h"
 #include "src/crypto/sha1.h"
@@ -12,6 +13,10 @@
 namespace scfs {
 
 namespace {
+
+// Backoff between attempts of one cloud request (see RobustCall).
+constexpr BackoffPolicy kRetryBackoff{FromMillis(50), FromMillis(1000), 2.0,
+                                      0.5};
 
 // Everything one robust cloud request needs from its DepSkyClient, borrowed
 // for the call's lifetime (the client's destructor awaits async_ops_, which
@@ -110,7 +115,7 @@ class RobustCall : public std::enable_shared_from_this<RobustCall<T>> {
       VirtualDuration delay;
       {
         std::lock_guard<std::mutex> lock(*ctx_.rng_mu);
-        delay = ctx_.config->retry_backoff.Delay(attempt, *ctx_.rng);
+        delay = kRetryBackoff.Delay(attempt, *ctx_.rng);
       }
       charged_ += delay;
       auto self = this->shared_from_this();
@@ -220,7 +225,7 @@ DepSkyClient::DepSkyClient(Environment* env, std::vector<DepSkyCloud> clouds,
       clouds_(std::move(clouds)),
       config_(config),
       rng_(seed),
-      health_(static_cast<unsigned>(clouds_.size()), config.health),
+      health_(static_cast<unsigned>(clouds_.size())),
       timers_(env),
       pushed_metadata_(kPushedMetadataUnits) {}
 

@@ -32,7 +32,6 @@
 #include "src/cloud/health.h"
 #include "src/cloud/object_store.h"
 #include "src/codec/reed_solomon.h"
-#include "src/common/backoff.h"
 #include "src/common/executor.h"
 #include "src/common/future.h"
 #include "src/common/lru_cache.h"
@@ -61,15 +60,12 @@ struct DepSkyConfig {
   // the straggler keeps running in its store. 0 disables. Deadlines and
   // hedges are timer-driven and therefore inert in instant environments.
   VirtualDuration request_deadline = FromSecondsD(5);
-  // Attempts per cloud request (1 = no retry). Retries back off with
-  // `retry_backoff` between attempts.
+  // Attempts per cloud request (1 = no retry), with capped, jittered
+  // backoff between them.
   int max_attempts = 2;
-  BackoffPolicy retry_backoff{FromMillis(50), FromMillis(1000), 2.0, 0.5};
   // Shard reads launch one extra holder after an adaptive delay (the
   // (f+2)-th cloud) instead of waiting out a straggler.
   bool hedged_reads = true;
-  // Circuit-breaker / EWMA configuration for the per-cloud health tracker.
-  HealthOptions health;
 
   // --- Striped large-file data plane (DESIGN.md "Striped data plane") ---
   // A version is stored as one or more object sets ("units"), each its own

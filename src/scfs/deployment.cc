@@ -78,10 +78,6 @@ std::unique_ptr<Deployment> Deployment::Create(Environment* env,
     if (options.coord_max_inflight_instances > 0) {
       config.max_inflight_instances = options.coord_max_inflight_instances;
     }
-    if (options.coord_batch_accumulation_delay > 0) {
-      config.enable_batching = true;
-      config.batch_accumulation_delay = options.coord_batch_accumulation_delay;
-    }
     if (options.coord_replica_link_one_way > 0) {
       config.replica_link =
           LatencyModel::Fixed(options.coord_replica_link_one_way);
@@ -90,12 +86,6 @@ std::unique_ptr<Deployment> Deployment::Create(Environment* env,
       PartitionedCoordinationConfig pconfig;
       pconfig.partitions = options.coord_partitions;
       pconfig.smr = config;
-      pconfig.spare_partitions = options.coord_spare_partitions;
-      pconfig.auto_split = options.coord_auto_split;
-      pconfig.split_hot_share = options.coord_split_hot_share;
-      pconfig.split_window = options.coord_split_window;
-      pconfig.split_min_total_ops_s = options.coord_split_min_total_ops_s;
-      pconfig.merge_cold_share = options.coord_merge_cold_share;
       // A committed migration revokes delegated caches on the moved keys
       // through the deployment's lease manager: the controller executes
       // below the LeasedCoordination decorator, so the piggybacked
@@ -125,22 +115,6 @@ std::unique_ptr<Deployment> Deployment::Create(Environment* env,
         std::move(deployment->coord_), &deployment->lease_manager_);
   }
   return deployment;
-}
-
-Status Deployment::SplitPartition(unsigned src) {
-  if (partitioned_coord_ == nullptr) {
-    return NotSupportedError(
-        "elastic repartitioning needs a partitioned coordination plane");
-  }
-  return partitioned_coord_->SplitPartition(src);
-}
-
-Status Deployment::MergePartitions(unsigned src, unsigned dst) {
-  if (partitioned_coord_ == nullptr) {
-    return NotSupportedError(
-        "elastic repartitioning needs a partitioned coordination plane");
-  }
-  return partitioned_coord_->MergePartitions(src, dst);
 }
 
 uint64_t Deployment::CoordReplyBytes() const {
@@ -173,7 +147,6 @@ Result<std::unique_ptr<ScfsFileSystem>> Deployment::Mount(
   if (options_.lease_ttl > 0) {
     options.leases = &lease_manager_;
     options.lease_ttl = options_.lease_ttl;
-    options.lease_max_prefixes = options_.lease_max_prefixes;
   }
 
   BlobBackend* backend = nullptr;

@@ -50,11 +50,6 @@ struct DeploymentOptions {
   // counts. Ignored for kAws and zero-latency deployments.
   unsigned coord_max_batch = 0;
   unsigned coord_max_inflight_instances = 0;
-  // Leader batch-accumulation delay (0 keeps the SmrConfig default of
-  // proposing immediately): partial batches are held up to this long so
-  // concurrent requests ride one consensus instance. Ignored for kAws and
-  // zero-latency deployments.
-  VirtualDuration coord_batch_accumulation_delay = 0;
   // Fixed one-way replica<->replica link latency override (0 keeps the
   // default ~10 ms wide-area model). With coord_max_inflight_instances=1
   // this pins the ordering capacity of a partition to
@@ -63,30 +58,12 @@ struct DeploymentOptions {
   // hot-partition skew demo pushes against. Ignored for kAws and
   // zero-latency deployments.
   VirtualDuration coord_replica_link_one_way = 0;
-  // Elastic coordination plane (kCoc with coord_partitions > 1 only; see
-  // DESIGN.md "Elastic partitioning" and OPERATIONS.md). Spare partitions
-  // are extra SMR clusters owning no hash range — the split controller's
-  // migration targets. coord_auto_split starts the load-aware controller:
-  // every coord_split_window it folds windowed per-partition ops/s deltas
-  // into EWMAs and splits the hot partition's range onto a spare once its
-  // share exceeds coord_split_hot_share (manual Deployment::SplitPartition
-  // and MergePartitions work either way). coord_merge_cold_share > 0
-  // additionally merges a cooled partition back once the plane grew past
-  // its initial size. Lease revocation on migrated keys is wired to the
-  // deployment's LeaseManager automatically.
-  unsigned coord_spare_partitions = 0;
-  bool coord_auto_split = false;
-  double coord_split_hot_share = 0.5;
-  VirtualDuration coord_split_window = 2 * kSecond;
-  double coord_split_min_total_ops_s = 1.0;
-  double coord_merge_cold_share = 0.0;
   // Lease-delegated metadata caching (DESIGN.md "Lease-delegated caching",
   // OPERATIONS.md knobs). lease_ttl > 0 wraps the coordination service in
   // LeasedCoordination and hands every mounted agent read leases on
   // directory prefixes plus lingering write locks; 0 disables the layer
   // entirely (byte-identical behavior to a pre-lease deployment).
   VirtualDuration lease_ttl = 0;
-  size_t lease_max_prefixes = 16;
   uint64_t seed = 42;
 };
 
@@ -112,19 +89,11 @@ class Deployment {
     return depsky_clients_;
   }
   CoordinationService* coord() { return coord_.get(); }
-  LocalCoordination* local_coord() { return local_coord_; }
   ReplicatedCoordination* replicated_coord() { return replicated_coord_; }
   PartitionedCoordination* partitioned_coord() { return partitioned_coord_; }
   // Always present; only consulted by agents when lease_ttl > 0. The chaos
   // plane's lease-expiry fault windows suspend grants through it.
   LeaseManager* lease_manager() { return &lease_manager_; }
-
-  // Manual elastic repartitioning (coord_partitions > 1 only;
-  // kNotSupported otherwise). Operators split a hot partition's range onto
-  // a spare cluster or fold a cooled partition back without remounting;
-  // the automatic controller uses exactly the same entry points.
-  Status SplitPartition(unsigned src);
-  Status MergePartitions(unsigned src, unsigned dst);
 
   // Bytes shipped from the coordination service to clients so far (drives
   // the coordination share of Figure 11(b) costs).

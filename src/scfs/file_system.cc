@@ -9,6 +9,13 @@
 namespace scfs {
 
 namespace {
+
+// The garbage collector's parameters (paper §2.5.3): a pass starts once W
+// bytes were written since the previous one, and keeps the V newest
+// versions of each file.
+constexpr uint64_t kGcWrittenBytesW = 64ull * 1024 * 1024;
+constexpr size_t kGcVersionsToKeepV = 2;
+
 // Registry tuples: the per-user list of cloud canonical ids (paper §2.6).
 Bytes EncodeCloudIds(const std::vector<CanonicalId>& ids) {
   Bytes out;
@@ -55,11 +62,10 @@ ScfsFileSystem::ScfsFileSystem(Environment* env, CoordinationService* coord,
   if (options_.leases != nullptr && options_.lease_ttl > 0) {
     md_options.leases = options_.leases;
     md_options.lease_ttl = options_.lease_ttl;
-    md_options.lease_max_prefixes = options_.lease_max_prefixes;
   }
   metadata_ = std::make_unique<MetadataService>(env_, coord_, storage_.get(),
                                                 options_.user, md_options);
-  LockServiceOptions lock_options = options_.locks;
+  LockServiceOptions lock_options;
   if (options_.leases != nullptr && options_.lease_ttl > 0) {
     lock_options.leases = options_.leases;
     lock_options.linger = true;
@@ -800,7 +806,7 @@ void ScfsFileSystem::MaybeTriggerGc(uint64_t written_bytes) {
   }
   uint64_t total = bytes_written_since_gc_.fetch_add(written_bytes) +
                    written_bytes;
-  if (total < options_.gc.written_bytes_threshold) {
+  if (total < kGcWrittenBytesW) {
     return;
   }
   bytes_written_since_gc_.store(0);
@@ -815,10 +821,10 @@ Status ScfsFileSystem::GcCollectFile(const FileMetadata& metadata) {
   }
   ASSIGN_OR_RETURN(std::vector<BlobVersionInfo> versions,
                    backend_->ListVersions(metadata.object_id));
-  if (versions.size() <= options_.gc.versions_to_keep) {
+  if (versions.size() <= kGcVersionsToKeepV) {
     return OkStatus();
   }
-  size_t to_delete = versions.size() - options_.gc.versions_to_keep;
+  size_t to_delete = versions.size() - kGcVersionsToKeepV;
   for (size_t i = 0; i < to_delete; ++i) {
     // Never delete the currently anchored version, whatever its age.
     if (versions[i].content_hash == metadata.content_hash) {

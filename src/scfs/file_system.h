@@ -36,10 +36,9 @@ namespace scfs {
 
 enum class ScfsMode { kBlocking, kNonBlocking, kNonSharing };
 
+// The garbage collector's W and V are constants in file_system.cc.
 struct GcOptions {
   bool enabled = true;
-  uint64_t written_bytes_threshold = 64ull * 1024 * 1024;  // W
-  unsigned versions_to_keep = 2;                           // V
 };
 
 struct ScfsOptions {
@@ -51,14 +50,12 @@ struct ScfsOptions {
   VirtualDuration metadata_cache_ttl = FromMillis(500);
   bool use_pns = false;
   StorageServiceOptions storage;
-  LockServiceOptions locks;
   GcOptions gc;
   // Lease-delegated caching (DESIGN.md): set by Deployment::Mount when the
   // deployment enables leases. A null manager or zero TTL disables both the
   // metadata read leases and the lock linger.
   LeaseManager* leases = nullptr;
   VirtualDuration lease_ttl = 0;
-  size_t lease_max_prefixes = 16;
 };
 
 class ScfsFileSystem : public FileSystem {

@@ -67,7 +67,6 @@ class LockService {
   // With more than half the lease remaining this is a ready no-op round
   // (renew-on-demand).
   Future<Status> RenewAsync(const std::string& path);
-  bool Holds(const std::string& path);
   // Conservative client-side bound on how long this agent's hold on the
   // path's lock (including a lingering one) is guaranteed by the server
   // lease. 0 when the lock is not held. The write-credit metadata pin

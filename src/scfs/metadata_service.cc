@@ -10,6 +10,12 @@ namespace scfs {
 
 namespace {
 constexpr VirtualDuration kPnsLockLease = 600 * kSecond;
+// At most this many leased prefixes per agent; beyond it the least recently
+// used lease is dropped locally (the server copy just expires).
+constexpr size_t kLeaseMaxPrefixes = 16;
+// After a revocation, leave the prefix on the anchored path this long —
+// write-hot directories would otherwise thrash grant/revoke.
+constexpr VirtualDuration kLeaseHoldoff = FromMillis(1000);
 }  // namespace
 
 MetadataService::MetadataService(Environment* env, CoordinationService* coord,
@@ -108,7 +114,7 @@ void MetadataService::OnLeaseRevoked(const std::string& prefix) {
       if (holdoff.until != 0 && now > holdoff.until + options_.lease_ttl) {
         holdoff.penalty = 1;  // the prefix has been quiet; forget the history
       }
-      holdoff.until = now + options_.lease_holdoff * holdoff.penalty;
+      holdoff.until = now + kLeaseHoldoff * holdoff.penalty;
       // Cap the escalation at 4x the base holdoff: a persistently write-hot
       // prefix keeps losing its lease and so keeps refreshing the holdoff
       // anyway (at most one wasted grant round per cap period), while a
@@ -128,7 +134,7 @@ void MetadataService::OnLeaseRevoked(const std::string& prefix) {
       if (it != lease_holdoff_.end() && now < it->second.until) {
         it->second.until =
             std::max(it->second.until,
-                     now + options_.lease_holdoff * it->second.penalty);
+                     now + kLeaseHoldoff * it->second.penalty);
       }
     }
   }
@@ -181,8 +187,7 @@ Status MetadataService::AcquireLeaseFor(const std::string& prefix) {
       return BusyError("lease grant raced a revocation " + prefix);
     }
   }
-  if (leases_.size() >= options_.lease_max_prefixes &&
-      leases_.count(prefix) == 0) {
+  if (leases_.size() >= kLeaseMaxPrefixes && leases_.count(prefix) == 0) {
     auto lru = leases_.begin();
     for (auto it = leases_.begin(); it != leases_.end(); ++it) {
       if (it->second.last_used < lru->second.last_used) {

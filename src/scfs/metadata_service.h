@@ -46,12 +46,6 @@ struct MetadataServiceOptions {
   // or a mutation revokes it.
   LeaseManager* leases = nullptr;
   VirtualDuration lease_ttl = 0;
-  // At most this many leased prefixes per agent; beyond it the least
-  // recently used lease is dropped locally (the server copy just expires).
-  size_t lease_max_prefixes = 16;
-  // After a revocation, leave the prefix on the anchored path this long —
-  // write-hot directories would otherwise thrash grant/revoke.
-  VirtualDuration lease_holdoff = FromMillis(1000);
 };
 
 class MetadataService {

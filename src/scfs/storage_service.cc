@@ -8,6 +8,11 @@
 namespace scfs {
 
 namespace {
+
+// Modelled local-disk access time (a 15K RPM SCSI-class disk).
+constexpr VirtualDuration kDiskWriteLatency = FromMillis(5);
+constexpr VirtualDuration kDiskReadLatency = FromMillis(2);
+
 std::string SanitizeForFilename(const std::string& key) {
   std::string out;
   out.reserve(key.size());
@@ -118,7 +123,7 @@ void StorageService::PutMemory(const std::string& id, const std::string& hash,
 Status StorageService::FlushToDisk(const std::string& id,
                                    const std::string& hash,
                                    ConstByteSpan data) {
-  env_->Sleep(options_.disk_write_latency);
+  env_->Sleep(kDiskWriteLatency);
   std::lock_guard<std::mutex> lock(mu_);
   WriteToDisk(id, hash, data);
   return OkStatus();
@@ -141,7 +146,7 @@ Result<Bytes> StorageService::Fetch(const std::string& id,
     if (from_disk.ok()) {
       ++disk_hits_;
       memory_.Put(key, *from_disk);
-      env_->Sleep(options_.disk_read_latency);
+      env_->Sleep(kDiskReadLatency);
       return from_disk;
     }
   }

@@ -32,8 +32,6 @@ struct StorageServiceOptions {
   size_t memory_cache_bytes = 256ull * 1024 * 1024;
   size_t disk_cache_bytes = 4ull * 1024 * 1024 * 1024;
   std::filesystem::path disk_cache_dir;  // empty => unique temp directory
-  VirtualDuration disk_write_latency = FromMillis(5);  // 15K RPM SCSI-ish
-  VirtualDuration disk_read_latency = FromMillis(2);
   // Consistency-anchor read loop: capped exponential backoff with jitter
   // between attempts (replaces the old fixed 100 ms delay). The cap keeps
   // the wait bounded once the consistency window is clearly being ridden
@@ -81,7 +79,6 @@ class StorageService {
                                       const std::string& hash);
 
   BlobBackend& backend() { return *backend_; }
-  const std::filesystem::path& disk_dir() const { return disk_dir_; }
 
   // Counters for experiments.
   uint64_t memory_hits() const { return memory_hits_; }

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "src/coord/command.h"
+#include "src/coord/coordination_service.h"
 #include "src/coord/lease.h"
 #include "src/coord/local_coordination.h"
 #include "src/coord/partitioned_coordination.h"
@@ -78,6 +80,103 @@ CoordCommand Cmd(CoordOp op, const std::string& client, const std::string& key,
   cmd.b = b;
   cmd.aux = aux;
   return cmd;
+}
+
+// Answers every submission with one fixed reply and records the encoded
+// command, separately for the sync and the async virtual.
+class RecordingCoordination : public CoordinationService {
+ public:
+  explicit RecordingCoordination(CoordReply reply) : reply_(std::move(reply)) {}
+
+  Result<CoordReply> Submit(const CoordCommand& command) override {
+    sync_commands.push_back(command.Encode());
+    return reply_;
+  }
+  Future<Result<CoordReply>> SubmitAsync(
+      const CoordCommand& command) override {
+    async_commands.push_back(command.Encode());
+    return Future<Result<CoordReply>>::Ready(reply_);
+  }
+
+  std::vector<Bytes> sync_commands;
+  std::vector<Bytes> async_commands;
+
+ private:
+  CoordReply reply_;
+};
+
+std::string Describe(const Status& status) { return status.ToString(); }
+std::string Describe(const Result<CoordEntry>& entry) {
+  if (!entry.ok()) {
+    return entry.status().ToString();
+  }
+  return ToString(entry->value) + " v" + std::to_string(entry->version);
+}
+
+// Each typed op's sync wrapper goes through Submit and its async twin
+// through SubmitAsync; both submit the identical command and decode the
+// same reply into the same result.
+TEST(CoordinationServiceTest, SyncAndAsyncWrappersShareCommandAndDecoding) {
+  using Call = std::function<std::string(CoordinationService&)>;
+  struct WrapperPair {
+    const char* op;
+    Call sync;
+    Call async;
+  };
+  const Bytes value = ToBytes("value");
+  const std::vector<WrapperPair> pairs = {
+      {"Write",
+       [&](CoordinationService& c) {
+         return Describe(c.Write("alice", "/w", value));
+       },
+       [&](CoordinationService& c) {
+         return Describe(c.WriteAsync("alice", "/w", value).Get());
+       }},
+      {"Read",
+       [](CoordinationService& c) { return Describe(c.Read("alice", "/r")); },
+       [](CoordinationService& c) {
+         return Describe(c.ReadAsync("alice", "/r").Get());
+       }},
+      {"Remove",
+       [](CoordinationService& c) {
+         return Describe(c.Remove("alice", "/x"));
+       },
+       [](CoordinationService& c) {
+         return Describe(c.RemoveAsync("alice", "/x").Get());
+       }},
+      {"RenewLock",
+       [](CoordinationService& c) {
+         return Describe(c.RenewLock("alice", "lock", 17, 3 * kSecond));
+       },
+       [](CoordinationService& c) {
+         return Describe(
+             c.RenewLockAsync("alice", "lock", 17, 3 * kSecond).Get());
+       }},
+      {"ImportEntry",
+       [&](CoordinationService& c) {
+         return Describe(c.ImportEntry("alice", "/i", value));
+       },
+       [&](CoordinationService& c) {
+         return Describe(c.ImportEntryAsync("alice", "/i", value).Get());
+       }},
+  };
+  CoordReply ok_reply;
+  ok_reply.value = ToBytes("stored");
+  ok_reply.a = 3;
+  CoordReply failed_reply;
+  failed_reply.code = ErrorCode::kNotFound;
+  for (const CoordReply& reply : {ok_reply, failed_reply}) {
+    for (const WrapperPair& pair : pairs) {
+      SCOPED_TRACE(std::string(pair.op) + (reply.ok() ? " ok" : " failed"));
+      RecordingCoordination coord(reply);
+      const std::string sync_outcome = pair.sync(coord);
+      const std::string async_outcome = pair.async(coord);
+      ASSERT_EQ(coord.sync_commands.size(), 1u);
+      ASSERT_EQ(coord.async_commands.size(), 1u);
+      EXPECT_EQ(coord.sync_commands[0], coord.async_commands[0]);
+      EXPECT_EQ(sync_outcome, async_outcome);
+    }
+  }
 }
 
 TEST(TupleSpaceTest, WriteReadVersionBump) {
@@ -877,6 +976,20 @@ SmrConfig SnapshotSmrConfig() {
   return config;
 }
 
+// Polls the cluster's counters until `reached` holds, for at most 60 virtual
+// seconds, and returns the last reading. A state-transfer counter can trail
+// the frontier a test waits on: a peer's state reply may still be in flight
+// when the laggard has already caught up from the others.
+SmrCounters AwaitCounters(Environment* env, const SmrCluster& cluster,
+                          bool (*reached)(const SmrCounters&)) {
+  SmrCounters counters = cluster.counters();
+  for (int spin = 0; spin < 300 && !reached(counters); ++spin) {
+    env->Sleep(200 * kMillisecond);
+    counters = cluster.counters();
+  }
+  return counters;
+}
+
 // Drives sequential writes; each rides its own consensus instance (the
 // client is closed-loop), so `count` writes advance the frontier by ~count.
 void AdvanceFrontier(ReplicatedCoordination* coord, const std::string& prefix,
@@ -960,7 +1073,11 @@ TEST(SmrClusterTest, LaggardRejoinsAcrossViewChange) {
   }
   EXPECT_TRUE(caught_up) << "laggard frontier " << cluster.exec_frontier(3)
                          << " vs target " << target;
-  EXPECT_GE(cluster.counters().snapshots_installed, 1u);
+  const SmrCounters counters =
+      AwaitCounters(env.get(), cluster, [](const SmrCounters& c) {
+        return c.snapshots_installed >= 1;
+      });
+  EXPECT_GE(counters.snapshots_installed, 1u);
   for (int i = 0; i < 3; ++i) {
     auto entry = coord.Read("alice", "post" + std::to_string(i));
     ASSERT_TRUE(entry.ok());
@@ -990,7 +1107,10 @@ TEST(SmrClusterTest, ByzantineSnapshotOfferRejected) {
   // the two honest peers — and lands on the honest state, not the forgery.
   EXPECT_TRUE(caught_up) << "laggard frontier " << cluster.exec_frontier(3)
                          << " vs target " << target;
-  SmrCounters counters = cluster.counters();
+  const SmrCounters counters =
+      AwaitCounters(env.get(), cluster, [](const SmrCounters& c) {
+        return c.snapshots_installed >= 1 && c.snapshot_payload_rejects >= 1;
+      });
   EXPECT_GE(counters.snapshots_installed, 1u);
   // The forged payload was detected and dropped at receipt.
   EXPECT_GE(counters.snapshot_payload_rejects, 1u);

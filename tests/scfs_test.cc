@@ -378,7 +378,6 @@ TEST_P(ScfsTest, GarbageCollectorTrimsOldVersions) {
   ScfsOptions options;
   options.mode = ScfsMode::kBlocking;
   options.gc.enabled = false;  // run manually
-  options.gc.versions_to_keep = 2;
   auto fs = deployment_->Mount("alice", options);
   ASSERT_TRUE(fs.ok());
 
